@@ -407,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="skip and count malformed lines instead of aborting",
     )
-    common.add_argument("--jobs", type=int, help="worker processes for per-paper computations")
+    common.add_argument("--jobs", type=int, help="no-op kept for compatibility; must be >= 1")
 
     parser = argparse.ArgumentParser(
         prog="pacsdiv",

@@ -20,6 +20,7 @@ Age 0 means citations in the publication calendar year; negative ages
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -461,9 +462,7 @@ def citation_distribution_by_diversity(
                 if 0 <= citing_year - record.pub_year <= horizon:
                     c += 1
             per_paper.append(c)
-        top = max(per_paper)
+        counts = Counter(per_paper)
         total = len(per_paper)
-        result[label] = {
-            c: per_paper.count(c) / total for c in range(top + 1)
-        }
+        result[label] = {c: counts[c] / total for c in range(max(counts) + 1)}
     return result

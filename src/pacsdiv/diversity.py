@@ -1,29 +1,33 @@
 """Weitzman diversity of PACS-code sets, plus distribution helpers.
 
-The diversity of a set is accumulated greedily: seed with one element at
-diversity zero, then add the remaining elements one at a time, each
-contributing its minimum distance to the members already present. On the
-truncated PACS hierarchy this sum is the same for every insertion order
-(the distance is an ultrametric), so the implementation walks codes in
-canonical sorted order purely for determinism. Two exhaustive oracles --
-the recursive max-form construction and brute-force enumeration of all
-insertion orders -- are provided for cross-checking; the test suite
-requires all three routes to agree exactly.
+On an ultrametric, Weitzman diversity is the total branch length of the
+tree spanned by the set (Weitzman 1992, "On Diversity", QJE 107:363).
+The truncated PACS hierarchy has three levels with unit-length edges.
+The subtree joining a non-empty set to the root has one edge per
+distinct level-1 digit, per distinct two-digit field and per code; a
+singleton has diversity zero, so the diversity is that edge count minus
+the 3 edges of one code's path to the root.
 
-Diversity values are always small non-negative integers: each insertion
-contributes a pairwise distance in {0,1,2,3}, and duplicates contribute
-nothing because sets are deduplicated first.
+This is the sum the greedy route reaches -- seed with one element, add
+the rest one at a time, each contributing its minimum distance to the
+members already present -- in any insertion order. Two exhaustive
+oracles, the recursive max-form construction and brute-force
+enumeration of all insertion orders, are kept for cross-checking; the
+test suite requires the closed form, both oracles and an unsorted greedy
+to agree exactly.
+
+Diversity values are always small non-negative integers, at most
+3 * (n - 1) for n distinct codes; duplicates contribute nothing.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from itertools import permutations
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import SetTooLarge, UnknownAuthor
-from .taxonomy import PacsCode, distance, set_distance
+from .taxonomy import PacsCode, distance
 
 if TYPE_CHECKING:
     from .corpus import AuthorId, Corpus, PaperRecord
@@ -45,29 +49,21 @@ ORACLE_SIZE_CAP = 10
 
 
 def weitzman_diversity(codes: Iterable[PacsCode]) -> int:
-    """Weitzman diversity of a code set via greedy insertion.
+    """Weitzman diversity of a code set, in closed form.
 
-    Duplicates are removed first; sets of size <= 1 (including the empty
-    set) have diversity zero. Elements are inserted in canonical sorted
-    order, each adding its minimum distance to the set built so far.
-
-    The result is order-invariant for the PACS ultrametric, a property
-    pinned by the test suite rather than assumed.
+    Duplicates are removed first (a ``set`` or ``frozenset`` is used as
+    it is); sets of size <= 1, including the empty set, have diversity
+    zero. Otherwise the result is the tree length
+    ``|level-1 digits| + |two-digit fields| + |codes| - 3``, which equals
+    the greedy insertion sum in every order on this ultrametric -- a
+    property pinned by the test suite rather than assumed.
     """
-    ordered = sorted(set(codes))
-    if len(ordered) <= 1:
+    members = codes if isinstance(codes, (set, frozenset)) else set(codes)
+    n = len(members)
+    if n <= 1:
         return 0
-    total = 0
-    included = [ordered[0]]
-    for u in ordered[1:]:
-        best = 4
-        for v in included:
-            d = distance(u, v)
-            if d < best:
-                best = d
-        total += best
-        included.append(u)
-    return total
+    fields = {10 * c.level1 + c.level2 for c in members}
+    return len({f // 10 for f in fields}) + len(fields) + n - 3
 
 
 def weitzman_recursive_oracle(codes: Iterable[PacsCode]) -> int:
@@ -118,7 +114,7 @@ def weitzman_permutation_oracle(codes: Iterable[PacsCode]) -> int:
     """Greedy insertion sum enumerated over every insertion order.
 
     Returns the common value and raises if any two orders disagree,
-    which would falsify the order-invariance property the greedy route
+    which would falsify the order-invariance property the closed form
     relies on. Factorial cost; capped like the recursive oracle.
     """
     members = sorted(set(codes))
@@ -230,26 +226,14 @@ def pacs_count_distributions(
     )
 
 
-def _diversity_batch(batch: Sequence[frozenset[PacsCode]]) -> list[int]:
-    return [weitzman_diversity(codes) for codes in batch]
-
-
 def compute_diversities(pacs_sets: Sequence[frozenset[PacsCode]], jobs: int = 1) -> list[int]:
-    """Diversity of each code set, optionally across worker processes.
+    """Diversity of each code set, in input order.
 
-    ``jobs`` > 1 fans the computation out in fixed-size chunks that are
-    reassembled in submission order, so the result is bit-identical at
-    any parallelism degree.
+    ``jobs`` is accepted for compatibility and ignored: the closed-form
+    kernel is cheap enough that a worker pool would cost more than it
+    saves, so every call runs in-process.
     """
-    if jobs <= 1 or len(pacs_sets) < 2 * jobs:
-        return _diversity_batch(pacs_sets)
-    chunk = max(256, len(pacs_sets) // (jobs * 8))
-    batches = [pacs_sets[i : i + chunk] for i in range(0, len(pacs_sets), chunk)]
-    values: list[int] = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(_diversity_batch, batches):
-            values.extend(part)
-    return values
+    return [weitzman_diversity(codes) for codes in pacs_sets]
 
 
 def paper_diversity_map(corpus: "Corpus", jobs: int = 1) -> Mapping[str, int]:

@@ -26,6 +26,13 @@ from helpers import block_count_diversity, greedy_insertion_sum, random_code_set
 
 level3 = st.tuples(st.integers(0, 9), st.integers(0, 4)).map(lambda t: f"{t[0]}{t[1]}")
 codes = st.builds(PacsCode, st.integers(0, 3), st.integers(0, 2), level3)
+# the full level-3 code space, for unions as large as real author histories
+any_code = st.builds(
+    PacsCode,
+    st.integers(0, 9),
+    st.integers(0, 9),
+    st.integers(0, 99).map(lambda i: f"{i:02d}"),
+)
 
 
 def cs(*texts):
@@ -79,6 +86,18 @@ def test_three_way_oracle_agreement(sample):
 @given(st.lists(codes, min_size=0, max_size=40))
 def test_greedy_matches_block_counting(sample):
     assert weitzman_diversity(sample) == block_count_diversity(sample)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    # a drawn exact size: plain st.lists rarely goes past a dozen elements
+    st.integers(0, 300).flatmap(lambda n: st.lists(any_code, min_size=n, max_size=n)),
+    st.randoms(),
+)
+def test_large_sets_match_greedy(sample, rng):
+    shuffled = list(sample)
+    rng.shuffle(shuffled)
+    assert weitzman_diversity(sample) == greedy_insertion_sum(shuffled)
 
 
 @given(st.lists(codes, min_size=2, max_size=5, unique=True))

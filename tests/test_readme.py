@@ -1,0 +1,27 @@
+"""The README's library example runs against the golden fixture."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).parent.parent / "README.md"
+
+
+def _library_block():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    match = re.search(r"```python\n(.*?)```", section, re.DOTALL)
+    assert match, "no python block under ## Library"
+    return match.group(1)
+
+
+def test_readme_library_example(fixture_path):
+    source = _library_block()
+    assert '"corpus.jsonl"' in source
+    source = source.replace('"corpus.jsonl"', repr(str(fixture_path)))
+    namespace = {}
+    exec(compile(source, "README.md", "exec"), namespace)
+    # lines annotated "expr  # value" must still print that value
+    annotated = re.findall(r"^(\S.*?)\s+#\s*(-?\d+)\s*$", source, re.MULTILINE)
+    assert annotated
+    for expr, expected in annotated:
+        assert eval(expr, namespace) == int(expected), expr
