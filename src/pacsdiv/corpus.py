@@ -1,9 +1,16 @@
 """Corpus loading: article metadata, author identities, citation index.
 
-Input is JSON Lines, one object per line with fields doi, title,
-authors, date (ISO-8601), pacs, refs; unknown fields are ignored. A
-loaded corpus is immutable: every analysis in the package is a pure read
-over it, and loading the same file twice yields identical contents.
+Input is JSON Lines: one UTF-8 JSON object per line, LF or CRLF line
+endings, with fields doi, title, authors, date (strictly YYYY-MM-DD),
+pacs, refs; unknown fields are ignored. A line that is not valid UTF-8
+is a malformed line like any other. A loaded corpus is immutable: every
+analysis in the package is a pure read over it, and loading the same
+file twice yields identical contents.
+
+Loading is one pass over the file plus one over the accepted records to
+build the indexes. Each distinct raw author, date, PACS and reference
+string is checked and converted once per load, so equal values share
+one object in the corpus. Only the publication year of a date is kept.
 
 Citations are derived strictly in-corpus: a reference counts only when
 the target DOI is also present in the file. References to anything else
@@ -15,10 +22,13 @@ analyses can skip them as data errors.
 
 from __future__ import annotations
 
+import gc
 import json
+import re
 from dataclasses import dataclass, field
 from datetime import date
-from typing import Iterator, Mapping, NewType
+from operator import itemgetter
+from typing import Any, Iterator, Mapping, NewType
 
 from . import diversity
 from .errors import DuplicateDoi, EmptyPeriod, FormatError, IoFailure, MalformedCode
@@ -58,13 +68,9 @@ class PaperRecord:
     doi: str
     title: str
     authors: tuple[AuthorId, ...]
-    pub_date: date
+    pub_year: int
     pacs: frozenset[PacsCode]
     refs: tuple[str, ...]
-
-    @property
-    def pub_year(self) -> int:
-        return self.pub_date.year
 
 
 @dataclass(frozen=True, slots=True)
@@ -134,67 +140,125 @@ class Corpus:
 
 
 _REQUIRED_FIELDS = ("doi", "title", "authors", "date", "pacs", "refs")
+_get_fields = itemgetter(*_REQUIRED_FIELDS)
+# ASCII digits only: date.fromisoformat also takes "20200101" and ISO
+# week dates on Python 3.11+, which would make the year version-dependent
+_DATE_SHAPE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+class _Memo(dict):
+    """Per-load memo table: raw string -> ``convert(raw)``, once per string.
+
+    Only strings are ever converted: looking up anything else raises
+    TypeError (an unhashable value already in the lookup itself), so a
+    lookup doubles as the item type check. A conversion that raises
+    stores nothing.
+    """
+
+    __slots__ = ("convert",)
+
+    def __init__(self, convert):
+        super().__init__()
+        self.convert = convert
+
+    def __missing__(self, raw):
+        if not isinstance(raw, str):
+            raise TypeError(raw)
+        value = self[raw] = self.convert(raw)
+        return value
+
+
+def _code_or_none(raw: str) -> PacsCode | None:
+    try:
+        return parse_pacs(raw)
+    except MalformedCode:
+        return None
+
+
+def _year_of(raw_date: str) -> int:
+    """Year of a strict YYYY-MM-DD date; ValueError for anything else."""
+    if _DATE_SHAPE.fullmatch(raw_date) is None:
+        raise ValueError(raw_date)
+    return date.fromisoformat(raw_date).year
+
+
+def _lookup_all(memo: _Memo, items: object, container: type) -> Any:
+    """``container(memo[item] for item in items)`` for a list of strings.
+
+    Returns None when ``items`` is not a list or holds a non-string.
+    """
+    if not isinstance(items, list):
+        return None
+    try:
+        return container(map(memo.__getitem__, items))
+    except TypeError:
+        return None
+
+
+class _Caches:
+    """The memo tables of one load."""
+
+    __slots__ = ("strings", "authors", "codes", "years")
+
+    def __init__(self):
+        # strings maps a string to the first equal one seen, so equal
+        # author names and refs share one object across the corpus
+        strings = self.strings = _Memo(str)
+        self.authors = _Memo(lambda raw: strings[normalize_author(raw)])
+        self.codes = _Memo(_code_or_none)
+        self.years = _Memo(_year_of)
 
 
 def _parse_record(
     obj: object,
     lineno: int,
-    code_cache: dict[str, PacsCode | None],
+    caches: _Caches,
     known: frozenset[str] | None,
     counters: dict[str, int],
 ) -> PaperRecord:
     if not isinstance(obj, dict):
         raise FormatError(lineno, "record is not a JSON object")
-    for name in _REQUIRED_FIELDS:
-        if name not in obj:
-            raise FormatError(lineno, f"missing field {name!r}")
-    doi = obj["doi"]
-    title = obj["title"]
-    authors = obj["authors"]
-    raw_date = obj["date"]
-    pacs = obj["pacs"]
-    refs = obj["refs"]
+    try:
+        doi, title, authors, raw_date, pacs, refs = _get_fields(obj)
+    except KeyError as exc:
+        raise FormatError(lineno, f"missing field {exc.args[0]!r}") from None
     if not isinstance(doi, str) or not doi:
         raise FormatError(lineno, "doi must be a non-empty string")
     if not isinstance(title, str):
         raise FormatError(lineno, "title must be a string")
-    if not isinstance(authors, list) or any(not isinstance(a, str) for a in authors):
+    names = _lookup_all(caches.authors, authors, tuple)
+    if names is None:
         raise FormatError(lineno, "authors must be a list of strings")
-    if not isinstance(pacs, list) or any(not isinstance(c, str) for c in pacs):
+    codes = _lookup_all(caches.codes, pacs, frozenset)
+    if codes is None:
         raise FormatError(lineno, "pacs must be a list of strings")
-    if not isinstance(refs, list) or any(not isinstance(r, str) for r in refs):
+    targets = _lookup_all(caches.strings, refs, tuple)
+    if targets is None:
         raise FormatError(lineno, "refs must be a list of strings")
     if not isinstance(raw_date, str):
-        raise FormatError(lineno, "date must be an ISO-8601 string")
+        raise FormatError(lineno, "date must be a YYYY-MM-DD string")
     try:
-        pub_date = date.fromisoformat(raw_date)
+        year = caches.years[raw_date]
     except ValueError:
         raise FormatError(lineno, f"bad date {raw_date!r}") from None
 
-    codes: set[PacsCode] = set()
-    for raw_code in pacs:
-        if raw_code in code_cache:
-            cached = code_cache[raw_code]
-        else:
-            try:
-                cached = parse_pacs(raw_code)
-            except MalformedCode:
-                cached = None
-            code_cache[raw_code] = cached
-        if cached is None:
-            counters["malformed"] += 1
-        else:
-            if known is not None and cached.text not in known:
-                counters["unknown"] += 1
-            codes.add(cached)
+    if None in codes or known is not None:
+        # both counters go per listed string, repeats included, so they
+        # come from the list; only records with a malformed code, or a
+        # known-code list to check, pay for this second pass
+        listed = [caches.codes[raw] for raw in pacs]
+        counters["malformed"] += listed.count(None)
+        codes = codes - {None}
+        if known is not None:
+            counters["unknown"] += sum(code is not None and code.text not in known for code in listed)
 
     return PaperRecord(
         doi=doi,
         title=title,
-        authors=tuple(normalize_author(a) for a in authors),
-        pub_date=pub_date,
-        pacs=frozenset(codes),
-        refs=tuple(refs),
+        authors=names,
+        pub_year=year,
+        pacs=codes,
+        refs=targets,
     )
 
 
@@ -215,55 +279,90 @@ def load_corpus(path, config: IngestConfig | None = None) -> Corpus:
         indexes assume DOI uniqueness).
     """
     cfg = config or IngestConfig()
-    papers: dict[str, PaperRecord] = {}
-    rejected: list[tuple[int, str]] = []
-    counters = {"malformed": 0, "unknown": 0}
-    code_cache: dict[str, PacsCode | None] = {}
-
     try:
-        handle = open(path, "r", encoding="utf-8")
+        handle = open(path, "rb")
     except OSError as exc:
         raise IoFailure(f"cannot open {path}: {exc}") from exc
 
-    with handle:
-        try:
-            lines = enumerate(handle, start=1)
-            for lineno, line in lines:
-                if not line.strip():
-                    continue
-                try:
-                    try:
-                        obj = json.loads(line)
-                    except json.JSONDecodeError as exc:
-                        raise FormatError(lineno, f"invalid JSON: {exc.msg}") from None
-                    record = _parse_record(obj, lineno, code_cache, cfg.known_codes, counters)
-                except FormatError as exc:
-                    if cfg.strict:
-                        raise
-                    rejected.append((exc.lineno, exc.reason))
-                    continue
-                if record.doi in papers:
-                    raise DuplicateDoi(f"line {lineno}: duplicate doi {record.doi!r}")
-                papers[record.doi] = record
-        except OSError as exc:
-            raise IoFailure(f"error reading {path}: {exc}") from exc
+    # Decoded lines die by refcount and records form no cycles, so the
+    # cyclic collector would only re-traverse the growing corpus.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with handle:
+            papers, rejected, counters = _read_records(handle, path, cfg)
+        return _build_corpus(papers, rejected, counters)
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
+
+def _read_records(
+    handle, path, cfg: IngestConfig
+) -> tuple[dict[str, PaperRecord], list[tuple[int, str]], dict[str, int]]:
+    papers: dict[str, PaperRecord] = {}
+    rejected: list[tuple[int, str]] = []
+    counters = {"malformed": 0, "unknown": 0}
+    caches = _Caches()
+    known = cfg.known_codes
+    try:
+        for lineno, raw in enumerate(handle, start=1):
+            try:
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError:
+                    raise FormatError(lineno, "not valid UTF-8") from None
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    if not line.strip():
+                        continue
+                    raise FormatError(lineno, f"invalid JSON: {exc.msg}") from None
+                record = _parse_record(obj, lineno, caches, known, counters)
+            except FormatError as exc:
+                if cfg.strict:
+                    raise
+                rejected.append((exc.lineno, exc.reason))
+                continue
+            if record.doi in papers:
+                raise DuplicateDoi(f"line {lineno}: duplicate doi {record.doi!r}")
+            papers[record.doi] = record
+    except OSError as exc:
+        raise IoFailure(f"error reading {path}: {exc}") from exc
+    return papers, rejected, counters
+
+
+def _build_corpus(
+    papers: dict[str, PaperRecord],
+    rejected: list[tuple[int, str]],
+    counters: dict[str, int],
+) -> Corpus:
     citations: dict[str, list[tuple[str, int]]] = {}
     by_author: dict[AuthorId, list[str]] = {}
     dangling = 0
     negative_age = 0
-    for record in papers.values():
+    for doi, record in papers.items():
         for author in record.authors:
-            dois = by_author.setdefault(author, [])
-            if not dois or dois[-1] != record.doi:
-                dois.append(record.doi)
+            dois = by_author.get(author)
+            if dois is None:
+                by_author[author] = [doi]
+            elif dois[-1] != doi:
+                dois.append(doi)
+        if not record.refs:
+            continue
+        year = record.pub_year
+        pair = (doi, year)
         for target in record.refs:
             cited = papers.get(target)
             if cited is None:
                 dangling += 1
                 continue
-            citations.setdefault(target, []).append((record.doi, record.pub_year))
-            if record.pub_year < cited.pub_year:
+            pairs = citations.get(target)
+            if pairs is None:
+                citations[target] = [pair]
+            else:
+                pairs.append(pair)
+            if year < cited.pub_year:
                 negative_age += 1
 
     stats = IngestStats(

@@ -209,9 +209,7 @@ def pacs_count_distributions(
     """
     author_union: dict[str, set[PacsCode]] = {}
     paper_counts: list[int] = []
-    for record in corpus.papers.values():
-        if record.pub_year not in period:
-            continue
+    for record in corpus.papers_in(period):
         paper_counts.append(len(record.pacs))
         for author in record.authors:
             author_union.setdefault(author, set()).update(record.pacs)

@@ -203,6 +203,28 @@ def test_validate_is_always_lenient(fixture_path, tmp_path, capsys):
     assert (tmp_path / "validate.dropped.json").exists()
 
 
+def test_invalid_utf8_line_lenient(fixture_path, tmp_path, capsys):
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_bytes(fixture_path.read_bytes() + b'{"doi": "10.1103/P13", "title": "\xff"}\n')
+    code = main(
+        ["summary", "--input", str(mixed), "--out-dir", str(tmp_path), "--lenient", *GOLDEN_ARGS]
+    )
+    assert code == 0
+    report = json.loads((tmp_path / "summary.dropped.json").read_text())
+    assert report == {"lines_rejected": 1, "lines": [{"line": 13, "reason": "not valid UTF-8"}]}
+    assert (tmp_path / "summary.csv").read_bytes() == (GOLDEN_DIR / "summary.csv").read_bytes()
+    assert main(["validate", "--input", str(mixed), "--out-dir", str(tmp_path / "v")]) == 0
+    assert "lines_rejected,1" in (tmp_path / "v" / "validate.csv").read_text().splitlines()
+
+
+def test_invalid_utf8_line_strict_exit_code(fixture_path, tmp_path, capsys):
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_bytes(b"\xff\n" + fixture_path.read_bytes())
+    assert main(["summary", "--input", str(mixed), "--out-dir", str(tmp_path)]) == 4
+    assert "line 1: not valid UTF-8" in capsys.readouterr().err
+    assert not (tmp_path / "summary.csv").exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["--version"])

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from pacsdiv import (
@@ -13,7 +15,7 @@ from pacsdiv import (
     papers_with_pacs_fraction_by_year,
 )
 from conftest import paper
-from helpers import raw_citation_ages
+from helpers import messy_corpus, raw_citation_ages, raw_ingest_recount
 
 
 def test_normalize_author():
@@ -98,6 +100,17 @@ def test_strict_format_error_carries_lineno(corpus_file, tmp_path):
         ({"pacs": "04.25"}, "pacs"),
         ({"refs": None}, "refs"),
         ({"doi": 7}, "doi"),
+        # shapes date.fromisoformat takes on Python 3.11+ but not 3.10
+        ({"date": "19900101"}, "date"),
+        ({"date": "1990-W01-1"}, "date"),
+        ({"date": "1990W011"}, "date"),
+        # non-string items, hashable or not, anywhere in a list field
+        ({"authors": [["x"]]}, "authors"),
+        ({"authors": ["x", None]}, "authors"),
+        ({"pacs": [{"code": "04.25"}]}, "pacs"),
+        ({"pacs": ["04.25.dg", 4.25]}, "pacs"),
+        ({"refs": [True]}, "refs"),
+        ({"refs": [["b"]]}, "refs"),
     ],
 )
 def test_strict_rejects_bad_fields(corpus_file, mutation, reason_part):
@@ -106,6 +119,93 @@ def test_strict_rejects_bad_fields(corpus_file, mutation, reason_part):
     with pytest.raises(FormatError) as err:
         load_corpus(corpus_file([record]))
     assert reason_part in err.value.reason
+
+
+def test_bad_field_rejects_line_without_counting_its_codes(corpus_file):
+    bad = paper("b", 1991, ["y"], ["junk", "07.05.Fb"], refs=["a"], date="1991-02-30")
+    corpus = load_corpus(
+        corpus_file([paper("a", 1990, ["x"], ["04.25.dg"]), bad]),
+        IngestConfig(strict=False, known_codes=frozenset(["04.25"])),
+    )
+    stats = corpus.ingest_stats
+    assert stats.rejected_lines == ((2, "bad date '1991-02-30'"),)
+    assert stats.malformed_pacs_dropped == 0
+    assert stats.unknown_codes == 0
+    assert corpus.citations_in == {}
+
+
+def test_invalid_utf8_line(tmp_path):
+    good = '{"doi": "a", "title": "t", "authors": ["x"], "date": "1990-01-01", "pacs": [], "refs": []}\n'
+    path = tmp_path / "latin1.jsonl"
+    path.write_bytes(good.encode() + b'{"doi": "b", "title": "caf\xe9"}\n')
+    with pytest.raises(FormatError) as err:
+        load_corpus(path)
+    assert (err.value.lineno, err.value.reason) == (2, "not valid UTF-8")
+    corpus = load_corpus(path, IngestConfig(strict=False))
+    assert list(corpus.papers) == ["a"]
+    assert corpus.ingest_stats.rejected_lines == ((2, "not valid UTF-8"),)
+
+
+def test_crlf_line_endings(corpus_file, tmp_path):
+    lf = corpus_file(
+        [paper("a", 1990, ["Alice Adams"], ["04.25.dg"]), paper("b", 1991, ["alice adams"], [], refs=["a"])]
+    )
+    crlf = tmp_path / "crlf.jsonl"
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n") + b"\r\n")
+    left, right = load_corpus(lf), load_corpus(crlf)
+    assert left.papers == right.papers
+    assert left.citations_in == right.citations_in
+    assert left.papers_by_author == right.papers_by_author
+    assert left.ingest_stats == right.ingest_stats
+
+
+def test_equal_author_names_share_one_string(corpus_file):
+    corpus = load_corpus(
+        corpus_file([paper("a", 1990, ["Alice Adams"], []), paper("b", 1991, ["alice  ADAMS"], [])])
+    )
+    assert corpus.papers["a"].authors[0] is corpus.papers["b"].authors[0]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("known", [None, frozenset(["04.25", "11.15"])])
+def test_lenient_load_matches_raw_recount(tmp_path, seed, known):
+    path = messy_corpus(tmp_path / "messy.jsonl", 300, seed)
+    corpus = load_corpus(path, IngestConfig(strict=False, known_codes=known))
+    expected = raw_ingest_recount(path, known)
+    stats = corpus.ingest_stats
+    assert stats.as_dict() == {name: expected[name] for name in stats.as_dict()}
+    assert [lineno for lineno, _ in stats.rejected_lines] == expected["rejected_linenos"]
+    assert dict(corpus.papers_by_author) == expected["papers_by_author"]
+    assert dict(corpus.citations_in) == expected["citations_in"]
+    # the corpus exercises every kind of mess it promises
+    assert stats.lines_rejected and stats.malformed_pacs_dropped
+    assert stats.dangling_refs and stats.negative_age_citations_skipped
+    assert b"\r\n" in path.read_bytes()
+
+
+@pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+def gc_state(request):
+    was_enabled = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("outcome", ["ok", "format-error", "duplicate-doi", "io-failure"])
+def test_load_restores_gc_state(gc_state, outcome, corpus_file, tmp_path):
+    records = {
+        "ok": [paper("a", 1990, ["x"], [])],
+        "format-error": [paper("a", 1990, ["x"], []), paper("b", 1990, ["x"], [], date="1990-02-30")],
+        "duplicate-doi": [paper("a", 1990, ["x"], []), paper("a", 1991, ["y"], [])],
+    }
+    expected_error = {"format-error": FormatError, "duplicate-doi": DuplicateDoi, "io-failure": IoFailure}
+    path = corpus_file(records[outcome]) if outcome in records else tmp_path / "absent.jsonl"
+    if outcome == "ok":
+        load_corpus(path)
+    else:
+        with pytest.raises(expected_error[outcome]):
+            load_corpus(path)
+    assert gc.isenabled() is gc_state
 
 
 def test_missing_field_rejected(corpus_file):
