@@ -5,12 +5,13 @@ Every command loads the corpus, computes one table, and writes it to
 the resolved configuration, a fingerprint of the input file and the tool
 version. Writes are atomic (temp file + rename) and all orderings are
 explicitly sorted, so identical input and configuration produce
-byte-identical outputs at any parallelism degree.
+byte-identical outputs on every run.
 
 Configuration comes from flags, optionally layered over a JSON config
-file (flags win), with built-in defaults: windows 1985-1990 through
-2005-2010 in five-year steps, cohorts 1985-1994 and 1994-2003, horizon
-10, groups 0-3/4-9/10-27/28+, bands 0-2/3-5/6+.
+file (flags win; each file value must have its key's JSON type), with
+built-in defaults: windows 1985-1990 through 2005-2010 in five-year
+steps, cohorts 1985-1994 and 1994-2003, horizon 10, groups
+0-3/4-9/10-27/28+, bands 0-2/3-5/6+.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Any, Callable, Sequence
 from . import __version__
 from . import cohorts as co
 from .corpus import Corpus, IngestConfig, corpus_summary, load_corpus, papers_with_pacs_fraction_by_year
-from .diversity import compute_diversities, pacs_count_distributions, weitzman_diversity
+from .diversity import compute_diversities, diversity_histogram, pacs_count_distributions, weitzman_diversity
 from .errors import (
     ConfigError,
     DuplicateDoi,
@@ -57,8 +58,17 @@ DEFAULTS: dict[str, Any] = {
     "include_zero_pacs": False,
     "author_mode": "windowed",
     "lenient": False,
-    "jobs": 1,
 }
+
+# The keys a config file may set, each with the JSON types its value may have.
+_CONFIG_TYPES: dict[str, tuple[type, ...]] = {
+    **dict.fromkeys(("input", "out_dir", "format", "windows", "cohorts", "groups", "bands", "author_mode"), (str,)),
+    "period": (str, type(None)),
+    "horizon": (int,),
+    "include_zero_pacs": (bool,),
+    "lenient": (bool,),
+}
+_JSON_TYPE_NAMES = {str: "string", int: "integer", bool: "boolean", type(None): "null"}
 
 EXIT_CODES: dict[type, int] = {
     ConfigError: 2,
@@ -89,8 +99,6 @@ class RunConfig:
     include_zero_pacs: bool
     author_mode: str
     lenient: bool
-    jobs: int
-    raw: dict[str, Any]
 
 
 # ---------------------------------------------------------------------------
@@ -157,6 +165,7 @@ def _resolved_period(corpus: Corpus, cfg: RunConfig) -> YearRange:
 
 
 def build_summary(corpus: Corpus, cfg: RunConfig) -> Table:
+    """corpus-level averages over a period"""
     stats = corpus_summary(corpus, _resolved_period(corpus, cfg))
     rows = (
         ("papers", stats.papers),
@@ -173,12 +182,14 @@ def build_summary(corpus: Corpus, cfg: RunConfig) -> Table:
 
 
 def build_pacs_coverage(corpus: Corpus, cfg: RunConfig) -> Table:
+    """fraction of papers with codes, per year"""
     fractions = papers_with_pacs_fraction_by_year(corpus)
     rows = tuple((year, frac) for year, frac in sorted(fractions.items()))
     return Table((("year", "int"), ("fraction", "frac")), rows)
 
 
 def build_pacs_counts(corpus: Corpus, cfg: RunConfig) -> Table:
+    """code-count distributions for authors and papers"""
     period = _resolved_period(corpus, cfg)
     authors, papers = pacs_count_distributions(corpus, period, cfg.include_zero_pacs)
     rows = [("author", n, f) for n, f in sorted(authors.items())]
@@ -187,33 +198,25 @@ def build_pacs_counts(corpus: Corpus, cfg: RunConfig) -> Table:
 
 
 def build_diversity_dist(corpus: Corpus, cfg: RunConfig) -> Table:
+    """diversity distributions for authors and papers"""
     period = _resolved_period(corpus, cfg)
-    unions: dict[str, set] = {}
-    paper_sets = []
-    for record in corpus.papers_in(period):
-        paper_sets.append(record.pacs)
-        for author in record.authors:
-            unions.setdefault(author, set()).update(record.pacs)
-
     author_values = [
-        weitzman_diversity(u) for u in unions.values() if u or cfg.include_zero_pacs
+        weitzman_diversity(u)
+        for u in corpus.author_unions(period).values()
+        if u or cfg.include_zero_pacs
     ]
     paper_values = compute_diversities(
-        [s for s in paper_sets if s or cfg.include_zero_pacs], cfg.jobs
+        [r.pacs for r in corpus.papers_in(period) if r.pacs or cfg.include_zero_pacs]
     )
     rows: list[tuple] = []
     for entity, values in (("author", author_values), ("paper", paper_values)):
-        total = len(values)
-        if not total:
-            continue
-        counts: dict[int, int] = {}
-        for v in values:
-            counts[v] = counts.get(v, 0) + 1
-        rows += [(entity, d, c / total) for d, c in sorted(counts.items())]
+        histogram = diversity_histogram(values, normalize=True)
+        rows += [(entity, d, f) for d, f in sorted(histogram.items())]
     return Table((("entity", "str"), ("diversity", "int"), ("fraction", "frac")), tuple(rows))
 
 
 def build_groups(corpus: Corpus, cfg: RunConfig) -> Table:
+    """fraction of authors per diversity group, per window"""
     table = co.group_fraction_table(
         corpus, cfg.windows, cfg.groups, cfg.author_mode, cfg.include_zero_pacs
     )
@@ -226,6 +229,7 @@ def build_groups(corpus: Corpus, cfg: RunConfig) -> Table:
 
 
 def build_flows(corpus: Corpus, cfg: RunConfig) -> Table:
+    """author transition flows between groups across windows"""
     matrices = co.transition_flows(
         corpus, cfg.windows, cfg.groups, cfg.author_mode, cfg.include_zero_pacs
     )
@@ -269,6 +273,7 @@ def _series_rows(label_prefix: tuple, series: co.CitationSeries) -> list[tuple]:
 
 
 def build_citation_age(corpus: Corpus, cfg: RunConfig) -> Table:
+    """average citations per paper at each age"""
     series = co.citations_by_age(corpus, _resolved_period(corpus, cfg), cfg.horizon)
     entry = series.per_key["all"]
     rows = tuple(
@@ -292,11 +297,12 @@ def build_citation_age(corpus: Corpus, cfg: RunConfig) -> Table:
 
 
 def build_diversity_citations(corpus: Corpus, cfg: RunConfig) -> Table:
+    """citation trajectories grouped by paper diversity"""
     rows: list[tuple] = []
     for cohort in cfg.cohorts:
         for keying_name, scheme in (("integer", co.CITATION_KEY_SCHEME), ("band", cfg.bands)):
             series = co.citations_by_diversity(
-                corpus, cohort, cfg.horizon, scheme, cfg.include_zero_pacs, cfg.jobs
+                corpus, cohort, cfg.horizon, scheme, cfg.include_zero_pacs
             )
             rows += _series_rows((cohort.label, keying_name), series)
     columns = (
@@ -313,10 +319,11 @@ def build_diversity_citations(corpus: Corpus, cfg: RunConfig) -> Table:
 
 
 def build_citation_dist(corpus: Corpus, cfg: RunConfig) -> Table:
+    """citation-count distribution per diversity key"""
     rows: list[tuple] = []
     for cohort in cfg.cohorts:
         dists = co.citation_distribution_by_diversity(
-            corpus, cohort, cfg.horizon, cfg.include_zero_pacs, cfg.jobs
+            corpus, cohort, cfg.horizon, cfg.include_zero_pacs
         )
         for key, hist in dists.items():
             for citations in sorted(hist):
@@ -331,7 +338,8 @@ def build_citation_dist(corpus: Corpus, cfg: RunConfig) -> Table:
 
 
 def build_share(corpus: Corpus, cfg: RunConfig) -> Table:
-    table = co.diversity_share_table(corpus, cfg.cohorts, cfg.include_zero_pacs, cfg.jobs)
+    """percentage of papers per diversity value, per cohort"""
+    table = co.diversity_share_table(corpus, cfg.cohorts, cfg.include_zero_pacs)
     cohort_labels = list(table.keys())
     columns = (("diversity", "str"),) + tuple((label, "frac") for label in cohort_labels)
     rows = tuple(
@@ -342,6 +350,7 @@ def build_share(corpus: Corpus, cfg: RunConfig) -> Table:
 
 
 def build_validate(corpus: Corpus, cfg: RunConfig) -> Table:
+    """ingest report only (always lenient)"""
     stats = corpus.ingest_stats
     pairs = sum(len(v) for v in corpus.citations_in.values())
     years = [p.pub_year for p in corpus.papers.values()]
@@ -357,6 +366,7 @@ def build_validate(corpus: Corpus, cfg: RunConfig) -> Table:
     return Table((("metric", "str"), ("value", "int")), rows)
 
 
+# Each builder's docstring is its command's help text.
 COMMANDS: dict[str, Callable[[Corpus, RunConfig], Table]] = {
     "summary": build_summary,
     "pacs-coverage": build_pacs_coverage,
@@ -407,7 +417,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="skip and count malformed lines instead of aborting",
     )
-    common.add_argument("--jobs", type=int, help="no-op kept for compatibility; must be >= 1")
 
     parser = argparse.ArgumentParser(
         prog="pacsdiv",
@@ -415,21 +424,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"pacsdiv {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    help_lines = {
-        "summary": "corpus-level averages over a period",
-        "pacs-coverage": "fraction of papers with codes, per year",
-        "pacs-counts": "code-count distributions for authors and papers",
-        "diversity-dist": "diversity distributions for authors and papers",
-        "groups": "fraction of authors per diversity group, per window",
-        "flows": "author transition flows between groups across windows",
-        "citation-age": "average citations per paper at each age",
-        "diversity-citations": "citation trajectories grouped by paper diversity",
-        "citation-dist": "citation-count distribution per diversity key",
-        "share": "percentage of papers per diversity value, per cohort",
-        "validate": "ingest report only (always lenient)",
-    }
-    for name in COMMANDS:
-        sub.add_parser(name, parents=[common], help=help_lines[name])
+    for name, builder in COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=builder.__doc__)
     return parser
 
 
@@ -443,9 +439,15 @@ def _load_config_file(path: str) -> dict[str, Any]:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
-    unknown = set(data) - set(DEFAULTS) - {"input", "out_dir"}
+    unknown = set(data) - set(_CONFIG_TYPES)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    for key, value in sorted(data.items()):
+        types = _CONFIG_TYPES[key]
+        # exact types: a JSON true must not pass as the integer 1
+        if type(value) not in types:
+            expected = " or ".join(_JSON_TYPE_NAMES[t] for t in types)
+            raise ConfigError(f"config key {key!r} must be a JSON {expected}, got {json.dumps(value)}")
     return data
 
 
@@ -467,17 +469,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"format must be csv or json, got {settings['format']!r}")
     if settings["author_mode"] not in co.AUTHOR_MODES:
         raise ConfigError(f"author-mode must be one of {co.AUTHOR_MODES}")
-    try:
-        horizon = int(settings["horizon"])
-        jobs = int(settings["jobs"])
-    except (TypeError, ValueError):
-        raise ConfigError(
-            f"horizon and jobs must be integers, got {settings['horizon']!r}, {settings['jobs']!r}"
-        ) from None
+    horizon = settings["horizon"]
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
 
     period = settings["period"]
     return RunConfig(
@@ -490,11 +484,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         horizon=horizon,
         groups=co.group_scheme_from_spec(settings["groups"]),
         bands=co.band_scheme_from_spec(settings["bands"]),
-        include_zero_pacs=bool(settings["include_zero_pacs"]),
+        include_zero_pacs=settings["include_zero_pacs"],
         author_mode=settings["author_mode"],
-        lenient=bool(settings["lenient"]),
-        jobs=jobs,
-        raw={k: settings[k] for k in sorted(settings) if k != "out_dir"},
+        lenient=settings["lenient"],
     )
 
 
@@ -531,7 +523,6 @@ def _meta_payload(command: str, corpus: Corpus, cfg: RunConfig, resolved_period:
             "include_zero_pacs": cfg.include_zero_pacs,
             "author_mode": cfg.author_mode,
             "lenient": cfg.lenient,
-            "jobs": cfg.jobs,
         },
         "corpus": {
             "papers": len(corpus.papers),

@@ -163,10 +163,7 @@ def _active_author_unions(
     """
     if mode not in AUTHOR_MODES:
         raise ConfigError(f"author mode must be one of {AUTHOR_MODES}, got {mode!r}")
-    unions: dict[AuthorId, set[PacsCode]] = {}
-    for record in corpus.papers_in(window):
-        for author in record.authors:
-            unions.setdefault(author, set()).update(record.pacs)
+    unions = corpus.author_unions(window)
     if mode == "cumulative" and unions:
         span = corpus.year_span()
         if span.start < window.start:
@@ -355,12 +352,11 @@ def _cohort_diversity_keys(
     cohort: YearRange,
     keying: DiversityGroupScheme,
     include_zero_pacs: bool,
-    jobs: int,
 ) -> dict[str, list[PaperRecord]]:
     records = [
         r for r in corpus.papers_in(cohort) if r.pacs or include_zero_pacs
     ]
-    divs = compute_diversities([r.pacs for r in records], jobs)
+    divs = compute_diversities([r.pacs for r in records])
     by_key: dict[str, list[PaperRecord]] = {}
     for record, diversity in zip(records, divs):
         by_key.setdefault(assign_group(diversity, keying), []).append(record)
@@ -374,7 +370,6 @@ def citations_by_diversity(
     horizon: int,
     keying: DiversityGroupScheme = CITATION_KEY_SCHEME,
     include_zero_pacs: bool = False,
-    jobs: int = 1,
 ) -> CitationSeries:
     """Citation trajectories of cohort papers grouped by diversity.
 
@@ -389,7 +384,7 @@ def citations_by_diversity(
     """
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
-    by_key = _cohort_diversity_keys(corpus, cohort, keying, include_zero_pacs, jobs)
+    by_key = _cohort_diversity_keys(corpus, cohort, keying, include_zero_pacs)
     if not by_key:
         raise EmptyCohort(f"no diversity-keyed papers in {cohort.label}")
     per_key = {
@@ -403,7 +398,6 @@ def diversity_share_table(
     corpus: Corpus,
     cohorts: Sequence[YearRange],
     include_zero_pacs: bool = False,
-    jobs: int = 1,
 ) -> dict[str, dict[str, float]]:
     """Percentage of cohort papers at each diversity 0..8, 9+ pooled.
 
@@ -414,7 +408,7 @@ def diversity_share_table(
     table: dict[str, dict[str, float]] = {}
     for cohort in cohorts:
         by_key = _cohort_diversity_keys(
-            corpus, cohort, SHARE_KEY_SCHEME, include_zero_pacs, jobs
+            corpus, cohort, SHARE_KEY_SCHEME, include_zero_pacs
         )
         total = sum(len(records) for records in by_key.values())
         if total == 0:
@@ -431,7 +425,6 @@ def citation_distribution_by_diversity(
     cohort: YearRange,
     horizon: int,
     include_zero_pacs: bool = False,
-    jobs: int = 1,
 ) -> dict[str, dict[int, float]]:
     """Distribution of citation counts per diversity key.
 
@@ -448,7 +441,7 @@ def citation_distribution_by_diversity(
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
     by_key = _cohort_diversity_keys(
-        corpus, cohort, CITATION_KEY_SCHEME, include_zero_pacs, jobs
+        corpus, cohort, CITATION_KEY_SCHEME, include_zero_pacs
     )
     if not by_key:
         raise EmptyCohort(f"no diversity-keyed papers in {cohort.label}")

@@ -98,6 +98,7 @@ class IngestStats:
     unknown_codes: int = 0
     dangling_refs: int = 0
     negative_age_citations_skipped: int = 0
+    duplicate_authors_collapsed: int = 0
     rejected_lines: tuple[tuple[int, str], ...] = ()
 
     def as_dict(self) -> dict[str, int]:
@@ -108,6 +109,7 @@ class IngestStats:
             "unknown_codes": self.unknown_codes,
             "dangling_refs": self.dangling_refs,
             "negative_age_citations_skipped": self.negative_age_citations_skipped,
+            "duplicate_authors_collapsed": self.duplicate_authors_collapsed,
         }
 
 
@@ -137,6 +139,20 @@ class Corpus:
         for record in self.papers.values():
             if record.pub_year in period:
                 yield record
+
+    def author_unions(self, period: YearRange) -> dict[AuthorId, set[PacsCode]]:
+        """Union of PACS codes per author over the papers published in ``period``.
+
+        Every author on at least one in-period paper has an entry, in
+        order of first appearance; one whose in-period papers carry no
+        code maps to an empty set. The sets are fresh, so callers may
+        widen them.
+        """
+        unions: dict[AuthorId, set[PacsCode]] = {}
+        for record in self.papers_in(period):
+            for author in record.authors:
+                unions.setdefault(author, set()).update(record.pacs)
+        return unions
 
 
 _REQUIRED_FIELDS = ("doi", "title", "authors", "date", "pacs", "refs")
@@ -242,6 +258,11 @@ def _parse_record(
     except ValueError:
         raise FormatError(lineno, f"bad date {raw_date!r}") from None
 
+    # counters only count accepted records, so they come after every check
+    if len(names) > 1 and len(set(names)) < len(names):
+        unique = tuple(dict.fromkeys(names))
+        counters["duplicate_authors"] += len(names) - len(unique)
+        names = unique
     if None in codes or known is not None:
         # both counters go per listed string, repeats included, so they
         # come from the list; only records with a malformed code, or a
@@ -266,7 +287,9 @@ def load_corpus(path, config: IngestConfig | None = None) -> Corpus:
     """Load a JSON Lines metadata file into an immutable Corpus.
 
     PACS codes are truncated to level 3 and deduplicated per record;
-    malformed codes are dropped and counted. Blank lines are skipped.
+    malformed codes are dropped and counted. Author names are normalized
+    and deduplicated per record in first-seen order, each dropped repeat
+    counted. Blank lines are skipped.
 
     Raises
     ------
@@ -302,7 +325,7 @@ def _read_records(
 ) -> tuple[dict[str, PaperRecord], list[tuple[int, str]], dict[str, int]]:
     papers: dict[str, PaperRecord] = {}
     rejected: list[tuple[int, str]] = []
-    counters = {"malformed": 0, "unknown": 0}
+    counters = {"malformed": 0, "unknown": 0, "duplicate_authors": 0}
     caches = _Caches()
     known = cfg.known_codes
     try:
@@ -346,7 +369,7 @@ def _build_corpus(
             dois = by_author.get(author)
             if dois is None:
                 by_author[author] = [doi]
-            elif dois[-1] != doi:
+            else:
                 dois.append(doi)
         if not record.refs:
             continue
@@ -372,6 +395,7 @@ def _build_corpus(
         unknown_codes=counters["unknown"],
         dangling_refs=dangling,
         negative_age_citations_skipped=negative_age,
+        duplicate_authors_collapsed=counters["duplicate_authors"],
         rejected_lines=tuple(rejected),
     )
     return Corpus(
@@ -433,8 +457,7 @@ def corpus_summary(corpus: Corpus, period: YearRange) -> SummaryStats:
     if not in_period:
         raise EmptyPeriod(f"no papers in {period.label}")
 
-    author_union: dict[AuthorId, set[PacsCode]] = {}
-    author_papers: dict[AuthorId, int] = {}
+    unions = corpus.author_unions(period)
     total_authors_listed = 0
     total_codes = 0
     total_paper_div = 0
@@ -443,25 +466,20 @@ def corpus_summary(corpus: Corpus, period: YearRange) -> SummaryStats:
         total_authors_listed += len(record.authors)
         total_codes += len(record.pacs)
         total_paper_div += diversity.weitzman_diversity(record.pacs)
-        for author in record.authors:
-            author_papers[author] = author_papers.get(author, 0) + 1
-            author_union.setdefault(author, set()).update(record.pacs)
         for _, citing_year in corpus.citations_in.get(record.doi, ()):
             if citing_year >= record.pub_year:
                 total_citations += 1
 
     n_papers = len(in_period)
-    n_authors = len(author_papers)
-    total_author_div = sum(
-        diversity.weitzman_diversity(union) for union in author_union.values()
-    )
+    n_authors = len(unions)
+    total_author_div = sum(diversity.weitzman_diversity(union) for union in unions.values())
     return SummaryStats(
         period=period,
         papers=n_papers,
         authors=n_authors,
-        papers_per_author=sum(author_papers.values()) / n_authors if n_authors else 0.0,
+        papers_per_author=total_authors_listed / n_authors if n_authors else 0.0,
         authors_per_paper=total_authors_listed / n_papers,
-        codes_per_author=sum(len(u) for u in author_union.values()) / n_authors if n_authors else 0.0,
+        codes_per_author=sum(len(u) for u in unions.values()) / n_authors if n_authors else 0.0,
         codes_per_paper=total_codes / n_papers,
         author_diversity_mean=total_author_div / n_authors if n_authors else 0.0,
         paper_diversity_mean=total_paper_div / n_papers,

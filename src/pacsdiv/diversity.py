@@ -207,14 +207,8 @@ def pacs_count_distributions(
     (papers without codes, authors whose period papers carry none) are
     excluded unless ``include_zero_pacs`` is set.
     """
-    author_union: dict[str, set[PacsCode]] = {}
-    paper_counts: list[int] = []
-    for record in corpus.papers_in(period):
-        paper_counts.append(len(record.pacs))
-        for author in record.authors:
-            author_union.setdefault(author, set()).update(record.pacs)
-
-    author_counts = [len(u) for u in author_union.values()]
+    author_counts = [len(u) for u in corpus.author_unions(period).values()]
+    paper_counts = [len(record.pacs) for record in corpus.papers_in(period)]
     if not include_zero_pacs:
         author_counts = [c for c in author_counts if c > 0]
         paper_counts = [c for c in paper_counts if c > 0]
@@ -224,18 +218,17 @@ def pacs_count_distributions(
     )
 
 
-def compute_diversities(pacs_sets: Sequence[frozenset[PacsCode]], jobs: int = 1) -> list[int]:
-    """Diversity of each code set, in input order.
+def compute_diversities(pacs_sets: Sequence[frozenset[PacsCode]]) -> list[int]:
+    """Diversity of each code set, in input order, computed in-process.
 
-    ``jobs`` is accepted for compatibility and ignored: the closed-form
-    kernel is cheap enough that a worker pool would cost more than it
-    saves, so every call runs in-process.
+    The closed-form kernel costs time linear in the set size, far less
+    than shipping the sets to worker processes would.
     """
     return [weitzman_diversity(codes) for codes in pacs_sets]
 
 
-def paper_diversity_map(corpus: "Corpus", jobs: int = 1) -> Mapping[str, int]:
+def paper_diversity_map(corpus: "Corpus") -> Mapping[str, int]:
     """Diversity of every paper in the corpus, keyed by DOI."""
     dois = list(corpus.papers.keys())
-    values = compute_diversities([corpus.papers[d].pacs for d in dois], jobs)
+    values = compute_diversities([corpus.papers[d].pacs for d in dois])
     return dict(zip(dois, values))

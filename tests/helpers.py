@@ -147,15 +147,15 @@ def _raw_record_ok(obj):
     return _raw_year(obj["date"]) is not None
 
 
-def raw_ingest_recount(path, known_codes=None):
-    """What a lenient load should find, recounted from the raw bytes.
+def _raw_name(raw):
+    return re.sub(r"\s+", " ", raw).strip().casefold()
 
-    Bypasses the loader: splits the bytes on LF, rejects lines that are
-    not UTF-8, not JSON or not a well-typed record, and recounts from
-    the accepted records alone. Returns a dict with ``papers_by_author``
-    ({name: tuple of DOIs}), ``citations_in`` ({cited DOI: tuple of
-    (citing DOI, citing year)}), ``rejected_linenos`` and every
-    ``IngestStats`` counter, all in file order.
+
+def _raw_accepted(path):
+    """(accepted record dicts, rejected line numbers) of a lenient read.
+
+    Splits the bytes on LF and rejects lines that are not UTF-8, not
+    JSON or not a well-typed record; blank lines are neither.
     """
     with open(path, "rb") as handle:
         chunks = handle.read().split(b"\n")
@@ -178,20 +178,33 @@ def raw_ingest_recount(path, known_codes=None):
             rejected.append(lineno)
             continue
         accepted.append(obj)
+    return accepted, rejected
 
+
+def raw_ingest_recount(path, known_codes=None):
+    """What a lenient load should find, recounted from the raw bytes.
+
+    Bypasses the loader and recounts from the accepted records of
+    ``_raw_accepted`` alone. Returns a dict with ``papers_by_author``
+    ({name: tuple of DOIs}), ``citations_in`` ({cited DOI: tuple of
+    (citing DOI, citing year)}), ``rejected_linenos`` and every
+    ``IngestStats`` counter, all in file order.
+    """
+    accepted, rejected = _raw_accepted(path)
     year = {}
     for obj in accepted:
         assert obj["doi"] not in year, "recount expects unique accepted DOIs"
         year[obj["doi"]] = int(obj["date"][:4])
     by_author = {}
     citations = {}
-    malformed = unknown = dangling = negative = 0
+    malformed = unknown = dangling = negative = repeated_authors = 0
     for obj in accepted:
         doi = obj["doi"]
         for raw in obj["authors"]:
-            name = re.sub(r"\s+", " ", raw).strip().casefold()
-            dois = by_author.setdefault(name, [])
-            if doi not in dois:
+            dois = by_author.setdefault(_raw_name(raw), [])
+            if doi in dois:
+                repeated_authors += 1
+            else:
                 dois.append(doi)
         for raw in obj["pacs"]:
             match = _RAW_PACS.match(raw.strip())
@@ -216,7 +229,34 @@ def raw_ingest_recount(path, known_codes=None):
         "unknown_codes": unknown,
         "dangling_refs": dangling,
         "negative_age_citations_skipped": negative,
+        "duplicate_authors_collapsed": repeated_authors,
     }
+
+
+def raw_author_unions(path, window, cumulative=False):
+    """Per-author PACS code unions of a lenient load, from the raw bytes.
+
+    ``window`` is a half-open (start, end) pair of years. The authors
+    are those of the accepted records published in it, in order of first
+    appearance; each maps to the set of "AB.CD" strings on their records
+    in the window or, with ``cumulative``, in any year before its end.
+    """
+    start, end = window
+    accepted, _ = _raw_accepted(path)
+    unions = {}
+    for obj in accepted:
+        if start <= _raw_year(obj["date"]) < end:
+            for raw in obj["authors"]:
+                unions.setdefault(_raw_name(raw), set())
+    for obj in accepted:
+        year = _raw_year(obj["date"])
+        if year < end and (cumulative or year >= start):
+            codes = {m.group() for m in (_RAW_PACS.match(raw.strip()) for raw in obj["pacs"]) if m}
+            for raw in obj["authors"]:
+                name = _raw_name(raw)
+                if name in unions:
+                    unions[name] |= codes
+    return unions
 
 
 _NAMES = ("alice adams", "bob brown", "carol chen", "david müller", "erin evans", "frank fox")

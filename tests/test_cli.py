@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from pacsdiv.cli import main
+from pacsdiv.cli import _CONFIG_TYPES, DEFAULTS, main
 from conftest import ALL_COMMANDS, GOLDEN_ARGS, GOLDEN_DIR, paper, write_jsonl
 
 
@@ -45,11 +45,9 @@ def test_meta_sidecar(fixture_path, tmp_path, capsys):
 
 def test_outputs_deterministic_across_runs(fixture_path, tmp_path, capsys):
     run_cli("diversity-citations", fixture_path, tmp_path / "a")
-    run_cli("diversity-citations", fixture_path, tmp_path / "b", "--jobs", "2")
+    run_cli("diversity-citations", fixture_path, tmp_path / "b")
     for name in ("diversity-citations.csv", "diversity-citations.meta.json"):
-        left = (tmp_path / "a" / name).read_bytes()
-        right = (tmp_path / "b" / name).read_bytes()
-        assert left.replace(b'"jobs": 1', b'"jobs": 2') == right
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_json_format(fixture_path, tmp_path, capsys):
@@ -92,6 +90,67 @@ def test_unknown_config_key_rejected(fixture_path, tmp_path, capsys):
         ["summary", "--input", str(fixture_path), "--out-dir", str(tmp_path), "--config", str(config)]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {"jobs": 1},
+        {"lenient": "false"},
+        {"include_zero_pacs": "no"},
+        {"horizon": True},
+        {"horizon": 10.9},
+        {"windows": ["1985-90"]},
+        {"period": 1990},
+        {"groups": 5},
+    ],
+    ids=[
+        "jobs-key", "lenient-string", "zero-pacs-string", "horizon-bool",
+        "horizon-float", "windows-list", "period-int", "groups-int",
+    ],
+)
+def test_bad_config_file_value_rejected(settings, fixture_path, tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(settings))
+    code = main(
+        ["groups", "--input", str(fixture_path), "--out-dir", str(tmp_path), "--config", str(config)]
+    )
+    assert code == 2
+    assert "error: " in capsys.readouterr().err
+    assert not (tmp_path / "groups.csv").exists()
+
+
+def test_config_file_can_set_every_setting():
+    assert set(_CONFIG_TYPES) == set(DEFAULTS) | {"input", "out_dir"}
+
+
+def test_config_file_null_period_is_full_span(fixture_path, tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"period": None, "lenient": True, "horizon": 5}))
+    code = main(
+        ["summary", "--input", str(fixture_path), "--out-dir", str(tmp_path), "--config", str(config)]
+    )
+    assert code == 0
+    meta = json.loads((tmp_path / "summary.meta.json").read_text())
+    assert meta["settings"]["period"] == "1990-2004"
+    assert meta["settings"]["lenient"] is True
+
+
+def test_jobs_flag_removed(fixture_path, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli("summary", fixture_path, tmp_path, "--jobs", "1")
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
+
+
+def test_meta_sidecar_settings_keys(fixture_path, tmp_path, capsys):
+    run_cli("summary", fixture_path, tmp_path)
+    meta = json.loads((tmp_path / "summary.meta.json").read_text())
+    assert sorted(meta["settings"]) == [
+        "author_mode", "bands", "cohorts", "format", "groups", "horizon",
+        "include_zero_pacs", "lenient", "period", "windows",
+    ]
+    assert meta["ingest"]["duplicate_authors_collapsed"] == 0
 
 
 def test_out_dir_env_default(fixture_path, tmp_path, capsys, monkeypatch):

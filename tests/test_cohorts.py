@@ -8,6 +8,7 @@ from pacsdiv import (
     ConfigError,
     DiversityGroupScheme,
     EmptyCohort,
+    IngestConfig,
     OverlappingWindows,
     YearRange,
     assign_group,
@@ -22,7 +23,9 @@ from pacsdiv import (
     load_corpus,
     transition_flows,
 )
+from pacsdiv.cohorts import _active_author_unions
 from conftest import paper
+from helpers import messy_corpus, raw_author_unions
 
 W1, W2, W3 = YearRange(1990, 1995), YearRange(1995, 2000), YearRange(2000, 2005)
 COHORT1, COHORT2 = YearRange(1990, 1997), YearRange(1997, 2004)
@@ -160,6 +163,24 @@ def test_flow_conservation(fixture_corpus):
     assert counts["1990-1995"] == {"G1": 2, "G2": 2, "G3": 0, "G4": 0}
     assert counts["1995-2000"] == {"G1": 3, "G2": 0, "G3": 1, "G4": 0}
     assert counts["2000-2005"] == {"G1": 1, "G2": 1, "G3": 1, "G4": 0}
+
+
+def _code_texts(unions):
+    return [(name, {code.text for code in codes}) for name, codes in unions.items()]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_author_unions_match_raw_recount(tmp_path, seed):
+    # few records per year, so single-year windows miss some of the six names
+    path = messy_corpus(tmp_path / "messy.jsonl", 60, seed)
+    corpus = load_corpus(path, IngestConfig(strict=False))
+    for window in [YearRange(y, y + 1) for y in range(1990, 2002)] + [YearRange(1990, 2002)]:
+        years = (window.start, window.end)
+        windowed = list(raw_author_unions(path, years).items())
+        assert _code_texts(corpus.author_unions(window)) == windowed
+        assert _code_texts(_active_author_unions(corpus, window, "windowed")) == windowed
+        cumulative = list(raw_author_unions(path, years, cumulative=True).items())
+        assert _code_texts(_active_author_unions(corpus, window, "cumulative")) == cumulative
 
 
 def test_flows_need_two_windows(fixture_corpus):

@@ -122,7 +122,7 @@ def test_strict_rejects_bad_fields(corpus_file, mutation, reason_part):
 
 
 def test_bad_field_rejects_line_without_counting_its_codes(corpus_file):
-    bad = paper("b", 1991, ["y"], ["junk", "07.05.Fb"], refs=["a"], date="1991-02-30")
+    bad = paper("b", 1991, ["y", "Y"], ["junk", "07.05.Fb"], refs=["a"], date="1991-02-30")
     corpus = load_corpus(
         corpus_file([paper("a", 1990, ["x"], ["04.25.dg"]), bad]),
         IngestConfig(strict=False, known_codes=frozenset(["04.25"])),
@@ -131,6 +131,7 @@ def test_bad_field_rejects_line_without_counting_its_codes(corpus_file):
     assert stats.rejected_lines == ((2, "bad date '1991-02-30'"),)
     assert stats.malformed_pacs_dropped == 0
     assert stats.unknown_codes == 0
+    assert stats.duplicate_authors_collapsed == 0
     assert corpus.citations_in == {}
 
 
@@ -180,6 +181,7 @@ def test_lenient_load_matches_raw_recount(tmp_path, seed, known):
     # the corpus exercises every kind of mess it promises
     assert stats.lines_rejected and stats.malformed_pacs_dropped
     assert stats.dangling_refs and stats.negative_age_citations_skipped
+    assert stats.duplicate_authors_collapsed
     assert b"\r\n" in path.read_bytes()
 
 
@@ -262,10 +264,24 @@ def test_negative_age_kept_but_counted(corpus_file):
 
 
 def test_repeated_author_on_one_paper(corpus_file):
-    corpus = load_corpus(corpus_file([paper("a", 1990, ["Same Name", "same  NAME"], [])]))
+    corpus = load_corpus(corpus_file([paper("a", 1990, ["Same Name", "Other", "same  NAME"], [])]))
     record = corpus.papers["a"]
-    assert record.authors == ("same name", "same name")
+    assert record.authors == ("same name", "other")
     assert corpus.papers_by_author["same name"] == ("a",)
+    assert corpus.ingest_stats.duplicate_authors_collapsed == 1
+
+
+def test_summary_counts_repeated_author_once(corpus_file):
+    path = corpus_file(
+        [
+            paper("p1", 1990, ["Alice Adams", "alice  adams"], ["04.25.dg"]),
+            paper("p2", 1991, ["Bob"], []),
+        ]
+    )
+    stats = corpus_summary(load_corpus(path), YearRange(1990, 1992))
+    assert stats.authors == 2
+    assert stats.papers_per_author == 1.0
+    assert stats.authors_per_paper == 1.0
 
 
 def test_malformed_codes_dropped_not_fatal(corpus_file):

@@ -25,3 +25,11 @@ def test_readme_library_example(fixture_path):
     assert annotated
     for expr, expected in annotated:
         assert eval(expr, namespace) == int(expected), expr
+
+
+def test_readme_commands_table_is_the_registry():
+    from pacsdiv.cli import COMMANDS
+
+    section = README.read_text(encoding="utf-8").split("\n## Commands\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \| (.+?) \|$", section, re.MULTILINE)
+    assert rows == [(name, builder.__doc__) for name, builder in COMMANDS.items()]
