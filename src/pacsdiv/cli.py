@@ -30,8 +30,15 @@ from typing import Any, Callable, Sequence
 
 from . import __version__
 from . import cohorts as co
-from .corpus import Corpus, IngestConfig, corpus_summary, load_corpus, papers_with_pacs_fraction_by_year
-from .diversity import compute_diversities, diversity_histogram, pacs_count_distributions, weitzman_diversity
+from .corpus import (
+    Corpus,
+    IngestConfig,
+    corpus_summary,
+    diversity_distributions,
+    load_corpus,
+    pacs_count_distributions,
+    papers_with_pacs_fraction_by_year,
+)
 from .errors import (
     ConfigError,
     DuplicateDoi,
@@ -141,7 +148,11 @@ def render_json(table: Table) -> bytes:
         {name: _json_cell(kind, v) for (name, kind), v in zip(table.columns, row)}
         for row in table.rows
     ]
-    return (json.dumps(rows, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    return _json_bytes(rows)
+
+
+def _json_bytes(value) -> bytes:
+    return (json.dumps(value, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
 
 
 def _atomic_write(path: Path, payload: bytes) -> None:
@@ -188,31 +199,23 @@ def build_pacs_coverage(corpus: Corpus, cfg: RunConfig) -> Table:
     return Table((("year", "int"), ("fraction", "frac")), rows)
 
 
+def _distribution_table(
+    corpus: Corpus, cfg: RunConfig, distributions: Callable[..., tuple[dict, dict]], value_column: str
+) -> Table:
+    authors, papers = distributions(corpus, _resolved_period(corpus, cfg), cfg.include_zero_pacs)
+    rows = [("author", v, f) for v, f in sorted(authors.items())]
+    rows += [("paper", v, f) for v, f in sorted(papers.items())]
+    return Table((("entity", "str"), (value_column, "int"), ("fraction", "frac")), tuple(rows))
+
+
 def build_pacs_counts(corpus: Corpus, cfg: RunConfig) -> Table:
     """code-count distributions for authors and papers"""
-    period = _resolved_period(corpus, cfg)
-    authors, papers = pacs_count_distributions(corpus, period, cfg.include_zero_pacs)
-    rows = [("author", n, f) for n, f in sorted(authors.items())]
-    rows += [("paper", n, f) for n, f in sorted(papers.items())]
-    return Table((("entity", "str"), ("code_count", "int"), ("fraction", "frac")), tuple(rows))
+    return _distribution_table(corpus, cfg, pacs_count_distributions, "code_count")
 
 
 def build_diversity_dist(corpus: Corpus, cfg: RunConfig) -> Table:
     """diversity distributions for authors and papers"""
-    period = _resolved_period(corpus, cfg)
-    author_values = [
-        weitzman_diversity(u)
-        for u in corpus.author_unions(period).values()
-        if u or cfg.include_zero_pacs
-    ]
-    paper_values = compute_diversities(
-        [r.pacs for r in corpus.papers_in(period) if r.pacs or cfg.include_zero_pacs]
-    )
-    rows: list[tuple] = []
-    for entity, values in (("author", author_values), ("paper", paper_values)):
-        histogram = diversity_histogram(values, normalize=True)
-        rows += [(entity, d, f) for d, f in sorted(histogram.items())]
-    return Table((("entity", "str"), ("diversity", "int"), ("fraction", "frac")), tuple(rows))
+    return _distribution_table(corpus, cfg, diversity_distributions, "diversity")
 
 
 def build_groups(corpus: Corpus, cfg: RunConfig) -> Table:
@@ -533,14 +536,20 @@ def _meta_payload(command: str, corpus: Corpus, cfg: RunConfig, resolved_period:
         },
         "ingest": corpus.ingest_stats.as_dict(),
     }
-    return (json.dumps(meta, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+    return _json_bytes(meta)
 
 
 def run(command: str, cfg: RunConfig) -> list[Path]:
     """Execute one command and write its output files atomically.
 
     Returns the paths written: the table, its meta sidecar, and a
-    dropped-records report when any input line was rejected.
+    dropped-records report when any input line was rejected. A clean
+    load removes the report an earlier run may have left.
+
+    Raises
+    ------
+    IoFailure
+        If the output directory or a file in it cannot be written.
     """
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
@@ -552,28 +561,29 @@ def run(command: str, cfg: RunConfig) -> list[Path]:
     except EmptyPeriod:
         resolved_period = None
     table = COMMANDS[command](corpus, cfg)
-    payload = render_csv(table) if cfg.format == "csv" else render_json(table)
-
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = cfg.out_dir / f"{command}.{cfg.format}"
-    meta_path = cfg.out_dir / f"{command}.meta.json"
-    written = [out_path, meta_path]
-    _atomic_write(out_path, payload)
-    _atomic_write(meta_path, _meta_payload(command, corpus, cfg, resolved_period))
-
+    outputs = {
+        cfg.out_dir / f"{command}.{cfg.format}": render_csv(table) if cfg.format == "csv" else render_json(table),
+        cfg.out_dir / f"{command}.meta.json": _meta_payload(command, corpus, cfg, resolved_period),
+    }
     stats = corpus.ingest_stats
+    dropped_path = cfg.out_dir / f"{command}.dropped.json"
     if stats.lines_rejected:
-        report = {
-            "lines_rejected": stats.lines_rejected,
-            "lines": [{"line": lineno, "reason": reason} for lineno, reason in stats.rejected_lines],
-        }
-        dropped_path = cfg.out_dir / f"{command}.dropped.json"
-        _atomic_write(
-            dropped_path,
-            (json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n").encode("utf-8"),
+        outputs[dropped_path] = _json_bytes(
+            {
+                "lines_rejected": stats.lines_rejected,
+                "lines": [{"line": lineno, "reason": reason} for lineno, reason in stats.rejected_lines],
+            }
         )
-        written.append(dropped_path)
-    return written
+    try:
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+        for path, payload in outputs.items():
+            _atomic_write(path, payload)
+        if not stats.lines_rejected:
+            # a report left by an earlier run names lines this input no longer has
+            dropped_path.unlink(missing_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot write to {cfg.out_dir}: {exc}") from exc
+    return list(outputs)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

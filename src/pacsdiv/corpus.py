@@ -18,6 +18,9 @@ are tallied as dangling. Citation age is the calendar-year difference
 between the citing and cited papers; negative ages are kept in the index
 (they are reference pairs) but counted at load time so age-based
 analyses can skip them as data errors.
+
+The per-paper, per-author and per-period measures live here too: they
+apply the code-set kernel of ``diversity`` to a loaded corpus.
 """
 
 from __future__ import annotations
@@ -28,10 +31,10 @@ import re
 from dataclasses import dataclass, field
 from datetime import date
 from operator import itemgetter
-from typing import Any, Iterator, Mapping, NewType
+from typing import AbstractSet, Any, Callable, Iterator, Mapping, NewType
 
-from . import diversity
-from .errors import DuplicateDoi, EmptyPeriod, FormatError, IoFailure, MalformedCode
+from .diversity import diversity_histogram, weitzman_diversity
+from .errors import DuplicateDoi, EmptyPeriod, FormatError, IoFailure, MalformedCode, UnknownAuthor
 from .taxonomy import PacsCode, parse_pacs
 from .years import YearRange
 
@@ -44,11 +47,17 @@ __all__ = [
     "Corpus",
     "load_corpus",
     "papers_with_pacs_fraction_by_year",
+    "paper_diversity",
+    "author_diversity",
+    "pacs_count_distributions",
+    "diversity_distributions",
     "SummaryStats",
     "corpus_summary",
 ]
 
 AuthorId = NewType("AuthorId", str)
+# a (per-author, per-paper) pair of normalized histograms
+_Histograms = tuple[dict[int, float], dict[int, float]]
 
 
 def normalize_author(raw: str) -> AuthorId:
@@ -422,6 +431,73 @@ def papers_with_pacs_fraction_by_year(corpus: Corpus) -> dict[int, float]:
     return {year: with_codes.get(year, 0) / n for year, n in sorted(totals.items())}
 
 
+def paper_diversity(paper: PaperRecord) -> int:
+    """Diversity of one paper: the Weitzman diversity of its code set."""
+    return weitzman_diversity(paper.pacs)
+
+
+def author_diversity(author: AuthorId, corpus: Corpus, window: YearRange) -> int:
+    """Diversity of an author over a window of publication years.
+
+    Takes the union of the PACS codes of every paper the author
+    published with pub_year in ``window`` (half-open), then measures the
+    union's diversity. Publishing only zero-code papers in the window
+    yields 0; an author absent from the corpus altogether is an error.
+
+    Raises
+    ------
+    UnknownAuthor
+        If the author published nothing anywhere in the corpus.
+    """
+    dois = corpus.papers_by_author.get(normalize_author(author))
+    if dois is None:
+        raise UnknownAuthor(f"no papers by {author!r} in corpus")
+    union: set[PacsCode] = set()
+    for doi in dois:
+        record = corpus.papers[doi]
+        if record.pub_year in window:
+            union.update(record.pacs)
+    return weitzman_diversity(union)
+
+
+def _distributions(
+    corpus: Corpus, period: YearRange, measure: Callable[[AbstractSet[PacsCode]], int], include_zero_pacs: bool
+) -> _Histograms:
+    """Normalized histograms of ``measure`` over a period: (per-author, per-paper).
+
+    ``measure`` sees each author's code union over the period and each
+    in-period paper's own codes; empty sets count only with ``include_zero_pacs``.
+    """
+    unions = corpus.author_unions(period).values()
+    papers = (record.pacs for record in corpus.papers_in(period))
+    return tuple(
+        diversity_histogram((measure(codes) for codes in sets if codes or include_zero_pacs), normalize=True)
+        for sets in (unions, papers)
+    )
+
+
+def pacs_count_distributions(corpus: Corpus, period: YearRange, include_zero_pacs: bool = False) -> _Histograms:
+    """Code-count distributions over a period: (per-author, per-paper).
+
+    Per author the count is the size of the union of codes across the
+    author's papers in the period; per paper it is the paper's own code
+    count. Both tables are normalized to fractions. Zero-count entries
+    (papers without codes, authors whose period papers carry none) are
+    excluded unless ``include_zero_pacs`` is set.
+    """
+    return _distributions(corpus, period, len, include_zero_pacs)
+
+
+def diversity_distributions(corpus: Corpus, period: YearRange, include_zero_pacs: bool = False) -> _Histograms:
+    """Diversity distributions over a period: (per-author, per-paper).
+
+    As ``pacs_count_distributions``, with the Weitzman diversity of each
+    code set in place of its size; ``include_zero_pacs`` admits the
+    entries without codes as diversity 0.
+    """
+    return _distributions(corpus, period, weitzman_diversity, include_zero_pacs)
+
+
 @dataclass(frozen=True, slots=True)
 class SummaryStats:
     """Corpus-level averages over one period (whole-unit counting)."""
@@ -465,14 +541,14 @@ def corpus_summary(corpus: Corpus, period: YearRange) -> SummaryStats:
     for record in in_period:
         total_authors_listed += len(record.authors)
         total_codes += len(record.pacs)
-        total_paper_div += diversity.weitzman_diversity(record.pacs)
+        total_paper_div += weitzman_diversity(record.pacs)
         for _, citing_year in corpus.citations_in.get(record.doi, ()):
             if citing_year >= record.pub_year:
                 total_citations += 1
 
     n_papers = len(in_period)
     n_authors = len(unions)
-    total_author_div = sum(diversity.weitzman_diversity(union) for union in unions.values())
+    total_author_div = sum(weitzman_diversity(union) for union in unions.values())
     return SummaryStats(
         period=period,
         papers=n_papers,

@@ -1,4 +1,4 @@
-"""Weitzman diversity of PACS-code sets, plus distribution helpers.
+"""Weitzman diversity of PACS-code sets: the kernel and its oracles.
 
 On an ultrametric, Weitzman diversity is the total branch length of the
 tree spanned by the set (Weitzman 1992, "On Diversity", QJE 107:363).
@@ -18,31 +18,26 @@ to agree exactly.
 
 Diversity values are always small non-negative integers, at most
 3 * (n - 1) for n distinct codes; duplicates contribute nothing.
+
+This module knows code sets only; ``corpus`` applies it to papers and
+authors.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import permutations
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
-from .errors import SetTooLarge, UnknownAuthor
+from .errors import SetTooLarge
 from .taxonomy import PacsCode, distance
-
-if TYPE_CHECKING:
-    from .corpus import AuthorId, Corpus, PaperRecord
-    from .years import YearRange
 
 __all__ = [
     "weitzman_diversity",
     "weitzman_recursive_oracle",
     "weitzman_permutation_oracle",
-    "paper_diversity",
-    "author_diversity",
     "diversity_histogram",
-    "pacs_count_distributions",
     "compute_diversities",
-    "paper_diversity_map",
 ]
 
 ORACLE_SIZE_CAP = 10
@@ -147,38 +142,6 @@ def weitzman_permutation_oracle(codes: Iterable[PacsCode]) -> int:
     return reference
 
 
-def paper_diversity(paper: "PaperRecord") -> int:
-    """Diversity of one paper: the Weitzman diversity of its code set."""
-    return weitzman_diversity(paper.pacs)
-
-
-def author_diversity(author: "AuthorId", corpus: "Corpus", window: "YearRange") -> int:
-    """Diversity of an author over a window of publication years.
-
-    Takes the union of the PACS codes of every paper the author
-    published with pub_year in ``window`` (half-open), then measures the
-    union's diversity. Publishing only zero-code papers in the window
-    yields 0; an author absent from the corpus altogether is an error.
-
-    Raises
-    ------
-    UnknownAuthor
-        If the author published nothing anywhere in the corpus.
-    """
-    from .corpus import normalize_author
-
-    key = normalize_author(author)
-    dois = corpus.papers_by_author.get(key)
-    if dois is None:
-        raise UnknownAuthor(f"no papers by {author!r} in corpus")
-    union: set[PacsCode] = set()
-    for doi in dois:
-        record = corpus.papers[doi]
-        if record.pub_year in window:
-            union.update(record.pacs)
-    return weitzman_diversity(union)
-
-
 def diversity_histogram(
     values: Iterable[int], normalize: bool = False
 ) -> dict[int, int] | dict[int, float]:
@@ -194,41 +157,10 @@ def diversity_histogram(
     return {k: c / total for k, c in counts.items()}
 
 
-def pacs_count_distributions(
-    corpus: "Corpus",
-    period: "YearRange",
-    include_zero_pacs: bool = False,
-) -> tuple[dict[int, float], dict[int, float]]:
-    """Code-count distributions over a period: (per-author, per-paper).
-
-    Per author the count is the size of the union of codes across the
-    author's papers in the period; per paper it is the paper's own code
-    count. Both tables are normalized to fractions. Zero-count entries
-    (papers without codes, authors whose period papers carry none) are
-    excluded unless ``include_zero_pacs`` is set.
-    """
-    author_counts = [len(u) for u in corpus.author_unions(period).values()]
-    paper_counts = [len(record.pacs) for record in corpus.papers_in(period)]
-    if not include_zero_pacs:
-        author_counts = [c for c in author_counts if c > 0]
-        paper_counts = [c for c in paper_counts if c > 0]
-    return (
-        diversity_histogram(author_counts, normalize=True),
-        diversity_histogram(paper_counts, normalize=True),
-    )
-
-
 def compute_diversities(pacs_sets: Sequence[frozenset[PacsCode]]) -> list[int]:
-    """Diversity of each code set, in input order, computed in-process.
+    """Diversity of each code set, in input order.
 
-    The closed-form kernel costs time linear in the set size, far less
-    than shipping the sets to worker processes would.
+    The batch form of ``weitzman_diversity`` for per-paper diversities
+    of a cohort.
     """
     return [weitzman_diversity(codes) for codes in pacs_sets]
-
-
-def paper_diversity_map(corpus: "Corpus") -> Mapping[str, int]:
-    """Diversity of every paper in the corpus, keyed by DOI."""
-    dois = list(corpus.papers.keys())
-    values = compute_diversities([corpus.papers[d].pacs for d in dois])
-    return dict(zip(dois, values))

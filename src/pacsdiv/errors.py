@@ -13,16 +13,12 @@ class MalformedCode(PacsDivError):
     """A PACS string does not have four leading digits in AB.CD shape."""
 
 
-class EmptySet(PacsDivError):
-    """A set-distance query against an empty set."""
-
-
 class SetTooLarge(PacsDivError):
     """Exhaustive diversity oracle called above its size cap."""
 
 
 class IoFailure(PacsDivError):
-    """Input file could not be opened or read."""
+    """Input file could not be read, or an output file could not be written."""
 
 
 class FormatError(PacsDivError):

@@ -17,11 +17,10 @@ the count symmetric and an ultrametric: d(u,w) <= max(d(u,v), d(v,w)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
-from .errors import EmptySet, MalformedCode
+from .errors import MalformedCode
 
-__all__ = ["PacsCode", "parse_pacs", "lca_level", "distance", "set_distance"]
+__all__ = ["PacsCode", "parse_pacs", "lca_level", "distance"]
 
 _DIGITS = frozenset("0123456789")
 
@@ -98,27 +97,3 @@ def distance(u: PacsCode, v: PacsCode) -> int:
     ancestor. Symmetric, zero exactly for equal codes, and bounded by 3.
     """
     return 3 - lca_level(u, v)
-
-
-def set_distance(u: PacsCode, codes: Iterable[PacsCode]) -> int:
-    """Minimum distance from ``u`` to any member of a non-empty set.
-
-    This is the marginal diversity an element contributes when added to
-    an existing set.
-
-    Raises
-    ------
-    EmptySet
-        If ``codes`` is empty. Diversity accumulation seeds itself with
-        one element instead of querying the empty set.
-    """
-    best = 4
-    for v in codes:
-        d = distance(u, v)
-        if d < best:
-            best = d
-            if best == 0:
-                return 0
-    if best == 4:
-        raise EmptySet("set_distance against an empty set")
-    return best

@@ -68,9 +68,9 @@ def block_count_diversity(codes):
 def greedy_insertion_sum(seq):
     """Greedy Weitzman sum taking codes exactly in the order given.
 
-    The library function canonicalizes by sorting, so order invariance
-    has to be probed through this unsorted variant: every input order
-    must land on the same sum.
+    The library's closed form has no insertion order, so order
+    invariance is probed through this greedy: every input order must
+    land on the same sum.
     """
     from pacsdiv import distance
 
@@ -149,6 +149,11 @@ def _raw_record_ok(obj):
 
 def _raw_name(raw):
     return re.sub(r"\s+", " ", raw).strip().casefold()
+
+
+def _raw_codes(obj):
+    """The "AB.CD" strings of a raw record's well-formed PACS entries."""
+    return {m.group() for m in (_RAW_PACS.match(raw.strip()) for raw in obj["pacs"]) if m}
 
 
 def _raw_accepted(path):
@@ -251,7 +256,7 @@ def raw_author_unions(path, window, cumulative=False):
     for obj in accepted:
         year = _raw_year(obj["date"])
         if year < end and (cumulative or year >= start):
-            codes = {m.group() for m in (_RAW_PACS.match(raw.strip()) for raw in obj["pacs"]) if m}
+            codes = _raw_codes(obj)
             for raw in obj["authors"]:
                 name = _raw_name(raw)
                 if name in unions:

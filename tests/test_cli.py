@@ -302,3 +302,29 @@ def test_author_mode_flag(fixture_path, tmp_path, capsys):
     run_cli("groups", fixture_path, tmp_path, "--author-mode", "cumulative")
     rows = (tmp_path / "groups.csv").read_text().splitlines()
     assert rows[2] == "1995-2000,0.200000,0.400000,0.400000,0.000000"
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["is-a-file", "under-a-file"])
+def test_unwritable_out_dir_exit_code(below, fixture_path, tmp_path, capsys):
+    (tmp_path / "F").write_text("")
+    out_dir = tmp_path / "F" / below
+    assert main(["summary", "--input", str(fixture_path), "--out-dir", str(out_dir)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"pacsdiv summary: error: cannot write to {out_dir}: ")
+    assert err.count("\n") == 1
+
+
+def test_clean_rerun_removes_stale_dropped_report(fixture_path, tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    out_dir = tmp_path / "out"
+    argv = ["validate", "--input", str(corpus), "--out-dir", str(out_dir)]
+    corpus.write_text(fixture_path.read_text() + "garbage\n")
+    assert main(argv) == 0
+    assert json.loads((out_dir / "validate.dropped.json").read_text())["lines_rejected"] == 1
+    corpus.write_text(fixture_path.read_text())
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert "lines_rejected,0" in (out_dir / "validate.csv").read_text().splitlines()
+    assert sorted(p.name for p in out_dir.iterdir()) == ["validate.csv", "validate.meta.json"]
+    written = [str(out_dir / "validate.csv"), str(out_dir / "validate.meta.json")]
+    assert capsys.readouterr().out.splitlines() == written

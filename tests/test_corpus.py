@@ -1,4 +1,5 @@
 import gc
+from collections import Counter
 
 import pytest
 
@@ -8,14 +9,26 @@ from pacsdiv import (
     FormatError,
     IngestConfig,
     IoFailure,
+    PacsCode,
     YearRange,
     corpus_summary,
+    diversity_distributions,
     load_corpus,
     normalize_author,
+    pacs_count_distributions,
     papers_with_pacs_fraction_by_year,
 )
 from conftest import paper
-from helpers import messy_corpus, raw_citation_ages, raw_ingest_recount
+from helpers import (
+    _raw_accepted,
+    _raw_codes,
+    _raw_year,
+    block_count_diversity,
+    messy_corpus,
+    raw_author_unions,
+    raw_citation_ages,
+    raw_ingest_recount,
+)
 
 
 def test_normalize_author():
@@ -378,3 +391,37 @@ def test_double_load_identical(fixture_path):
     assert list(first.papers) == list(second.papers)
     assert first.citations_in == second.citations_in
     assert first.papers_by_author == second.papers_by_author
+
+
+def _code_set(texts):
+    return {PacsCode(int(text[0]), int(text[1]), text[3:]) for text in texts}
+
+
+def _normalized_histogram(values):
+    counts = Counter(values)
+    return {value: n / sum(counts.values()) for value, n in counts.items()}
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+@pytest.mark.parametrize("include_zero_pacs", [False, True])
+def test_distributions_match_raw_recount(tmp_path, seed, include_zero_pacs):
+    path = messy_corpus(tmp_path / "messy.jsonl", 120, seed)
+    corpus = load_corpus(path, IngestConfig(strict=False))
+    accepted, _ = _raw_accepted(path)
+    empty_authors = empty_papers = 0
+    for start, end in [(1990, 2002), (1993, 1997), (1995, 1996), (1999, 2000)]:
+        author_sets = [_code_set(texts) for texts in raw_author_unions(path, (start, end)).values()]
+        paper_sets = [_code_set(_raw_codes(obj)) for obj in accepted if start <= _raw_year(obj["date"]) < end]
+        empty_authors += author_sets.count(set())
+        empty_papers += paper_sets.count(set())
+        for measure, distributions in [
+            (len, pacs_count_distributions),
+            (block_count_diversity, diversity_distributions),
+        ]:
+            expected = tuple(
+                _normalized_histogram(measure(codes) for codes in sets if codes or include_zero_pacs)
+                for sets in (author_sets, paper_sets)
+            )
+            assert distributions(corpus, YearRange(start, end), include_zero_pacs) == expected
+    # the corpora hold the code-less authors and papers the flag decides on
+    assert empty_authors and empty_papers

@@ -14,7 +14,6 @@ from pacsdiv import (
     load_corpus,
     pacs_count_distributions,
     paper_diversity,
-    paper_diversity_map,
     parse_pacs,
     weitzman_diversity,
     weitzman_permutation_oracle,
@@ -173,7 +172,6 @@ def test_paper_diversity(corpus_file):
     corpus = _mini_corpus(corpus_file)
     assert paper_diversity(corpus.papers["b"]) == 2
     assert paper_diversity(corpus.papers["c"]) == 0
-    assert dict(paper_diversity_map(corpus)) == {"a": 0, "b": 2, "c": 0}
 
 
 def test_pacs_count_distributions_excludes_zero_by_default(corpus_file):

@@ -33,3 +33,11 @@ def test_readme_commands_table_is_the_registry():
     section = README.read_text(encoding="utf-8").split("\n## Commands\n", 1)[1].split("\n## ", 1)[0]
     rows = re.findall(r"^\| `([^`]+)` \| (.+?) \|$", section, re.MULTILINE)
     assert rows == [(name, builder.__doc__) for name, builder in COMMANDS.items()]
+
+
+def test_readme_counter_table_is_ingest_stats():
+    from pacsdiv import IngestStats
+
+    section = README.read_text(encoding="utf-8").split("\n## Ingest counters\n", 1)[1].split("\n## ", 1)[0]
+    names = re.findall(r"^\| `([^`]+)` \|", section, re.MULTILINE)
+    assert names == list(IngestStats().as_dict())

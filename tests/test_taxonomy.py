@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from pacsdiv import EmptySet, MalformedCode, PacsCode, distance, lca_level, parse_pacs, set_distance
+from pacsdiv import MalformedCode, PacsCode, distance, lca_level, parse_pacs
 from helpers import build_tree_lca
 
 level3 = st.tuples(st.integers(0, 9), st.integers(0, 4)).map(lambda t: f"{t[0]}{t[1]}")
@@ -57,18 +57,6 @@ def test_lca_level_examples():
     assert lca_level(c("04.25"), c("11.15")) == 0
 
 
-def test_set_distance_takes_minimum():
-    others = [c("07.05"), c("04.30")]
-    assert set_distance(c("04.25"), others) == 1
-    assert set_distance(c("11.15"), others) == 3
-    assert set_distance(c("04.30"), others) == 0
-
-
-def test_set_distance_rejects_empty():
-    with pytest.raises(EmptySet):
-        set_distance(c("04.25"), [])
-
-
 @given(codes, codes)
 def test_distance_symmetric(u, v):
     assert distance(u, v) == distance(v, u)
@@ -95,8 +83,3 @@ def test_prefix_lca_matches_explicit_tree(sample):
     for u in sample:
         for v in sample:
             assert lca_level(u, v) == tree_depth(u, v)
-
-
-@given(codes, st.lists(codes, min_size=1, max_size=8))
-def test_set_distance_is_pointwise_minimum(u, others):
-    assert set_distance(u, others) == min(distance(u, v) for v in others)
