@@ -2,10 +2,10 @@
 
 Every command loads the corpus, computes one table, and writes it to
 ``<command>.<format>`` plus a ``<command>.meta.json`` sidecar recording
-the resolved configuration, a fingerprint of the input file and the tool
-version. Writes are atomic (temp file + rename) and all orderings are
-explicitly sorted, so identical input and configuration produce
-byte-identical outputs on every run.
+the resolved configuration, the sha256 and size of the input bytes that
+were loaded and the tool version. Writes are atomic (temp file + rename)
+and all orderings are explicitly sorted, so identical input and
+configuration produce byte-identical outputs on every run.
 
 Configuration comes from flags, optionally layered over a JSON config
 file (flags win; each file value must have its key's JSON type), with
@@ -48,7 +48,6 @@ from .errors import (
     IoFailure,
     OverlappingWindows,
     PacsDivError,
-    UnknownAuthor,
 )
 from .years import YearRange, parse_year_range, parse_year_ranges
 
@@ -85,7 +84,6 @@ EXIT_CODES: dict[type, int] = {
     EmptyPeriod: 6,
     EmptyCohort: 7,
     OverlappingWindows: 8,
-    UnknownAuthor: 9,
 }
 EXIT_OTHER = 1
 
@@ -352,19 +350,29 @@ def build_share(corpus: Corpus, cfg: RunConfig) -> Table:
     return Table(columns, rows)
 
 
+def _corpus_facts(corpus: Corpus) -> dict[str, int | None]:
+    """Papers, authors, citation pairs and year bounds (None when empty)."""
+    try:
+        span = corpus.year_span()
+    except EmptyPeriod:
+        span = None
+    return {
+        "papers": len(corpus.papers),
+        "authors": len(corpus.papers_by_author),
+        "citation_pairs": sum(map(len, corpus.citations_in.values())),
+        "year_min": span and span.start,
+        "year_max": span and span.end - 1,
+    }
+
+
 def build_validate(corpus: Corpus, cfg: RunConfig) -> Table:
     """ingest report only (always lenient)"""
-    stats = corpus.ingest_stats
-    pairs = sum(len(v) for v in corpus.citations_in.values())
-    years = [p.pub_year for p in corpus.papers.values()]
+    facts = _corpus_facts(corpus)
     rows = tuple(
-        [("papers", len(corpus.papers)), ("authors", len(corpus.papers_by_author))]
-        + sorted(stats.as_dict().items())
-        + [
-            ("citation_pairs_in_corpus", pairs),
-            ("year_min", min(years) if years else 0),
-            ("year_max", max(years) if years else 0),
-        ]
+        [("papers", facts["papers"]), ("authors", facts["authors"])]
+        + sorted(corpus.ingest_stats.as_dict().items())
+        + [("citation_pairs_in_corpus", facts["citation_pairs"])]
+        + [(name, facts[name] or 0) for name in ("year_min", "year_max")]
     )
     return Table((("metric", "str"), ("value", "int")), rows)
 
@@ -497,24 +505,12 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 # run
 
 
-def _sha256(path: Path) -> tuple[str, int]:
-    digest = hashlib.sha256()
-    size = 0
-    with open(path, "rb") as handle:
-        for block in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(block)
-            size += len(block)
-    return digest.hexdigest(), size
-
-
-def _meta_payload(command: str, corpus: Corpus, cfg: RunConfig, resolved_period: str) -> bytes:
-    sha, size = _sha256(cfg.input)
-    years = [p.pub_year for p in corpus.papers.values()]
+def _meta_payload(command: str, corpus: Corpus, cfg: RunConfig, resolved_period: str, sha256: str) -> bytes:
     meta = {
         "command": command,
         "tool": "pacsdiv",
         "version": __version__,
-        "input": {"path": str(cfg.input), "sha256": sha, "size_bytes": size},
+        "input": {"path": str(cfg.input), "sha256": sha256, "size_bytes": corpus.ingest_stats.bytes_read},
         "settings": {
             "format": cfg.format,
             "windows": [w.label for w in cfg.windows],
@@ -527,13 +523,7 @@ def _meta_payload(command: str, corpus: Corpus, cfg: RunConfig, resolved_period:
             "author_mode": cfg.author_mode,
             "lenient": cfg.lenient,
         },
-        "corpus": {
-            "papers": len(corpus.papers),
-            "authors": len(corpus.papers_by_author),
-            "citation_pairs": sum(len(v) for v in corpus.citations_in.values()),
-            "year_min": min(years) if years else None,
-            "year_max": max(years) if years else None,
-        },
+        "corpus": _corpus_facts(corpus),
         "ingest": corpus.ingest_stats.as_dict(),
     }
     return _json_bytes(meta)
@@ -544,7 +534,8 @@ def run(command: str, cfg: RunConfig) -> list[Path]:
 
     Returns the paths written: the table, its meta sidecar, and a
     dropped-records report when any input line was rejected. A clean
-    load removes the report an earlier run may have left.
+    load removes the report an earlier run may have left. The output
+    directory is created before the load, so it fails fast.
 
     Raises
     ------
@@ -553,8 +544,13 @@ def run(command: str, cfg: RunConfig) -> list[Path]:
     """
     if command not in COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
+    try:
+        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"cannot write to {cfg.out_dir}: {exc}") from exc
     lenient = cfg.lenient or command == "validate"
-    corpus = load_corpus(cfg.input, IngestConfig(strict=not lenient))
+    digest = hashlib.sha256()
+    corpus = load_corpus(cfg.input, IngestConfig(strict=not lenient), digest)
 
     try:
         resolved_period = _resolved_period(corpus, cfg).label
@@ -563,7 +559,7 @@ def run(command: str, cfg: RunConfig) -> list[Path]:
     table = COMMANDS[command](corpus, cfg)
     outputs = {
         cfg.out_dir / f"{command}.{cfg.format}": render_csv(table) if cfg.format == "csv" else render_json(table),
-        cfg.out_dir / f"{command}.meta.json": _meta_payload(command, corpus, cfg, resolved_period),
+        cfg.out_dir / f"{command}.meta.json": _meta_payload(command, corpus, cfg, resolved_period, digest.hexdigest()),
     }
     stats = corpus.ingest_stats
     dropped_path = cfg.out_dir / f"{command}.dropped.json"
@@ -575,7 +571,6 @@ def run(command: str, cfg: RunConfig) -> list[Path]:
             }
         )
     try:
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
         for path, payload in outputs.items():
             _atomic_write(path, payload)
         if not stats.lines_rejected:

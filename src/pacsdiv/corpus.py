@@ -7,10 +7,11 @@ is a malformed line like any other. A loaded corpus is immutable: every
 analysis in the package is a pure read over it, and loading the same
 file twice yields identical contents.
 
-Loading is one pass over the file plus one over the accepted records to
-build the indexes. Each distinct raw author, date, PACS and reference
-string is checked and converted once per load, so equal values share
-one object in the corpus. Only the publication year of a date is kept.
+Loading is one read of the file plus one pass over the accepted records
+to build the indexes. Each distinct raw DOI, author, date, PACS and
+reference string is checked and converted once per load, so equal values
+share one object in the corpus. A record keeps only what a table reads:
+its DOI, authors, publication year and codes.
 
 Citations are derived strictly in-corpus: a reference counts only when
 the target DOI is also present in the file. References to anything else
@@ -72,14 +73,12 @@ def normalize_author(raw: str) -> AuthorId:
 
 @dataclass(frozen=True, slots=True)
 class PaperRecord:
-    """One article as loaded: identity, authorship, codes, references."""
+    """One article as loaded; its references live on only in ``Corpus.citations_in``."""
 
     doi: str
-    title: str
     authors: tuple[AuthorId, ...]
     pub_year: int
     pacs: frozenset[PacsCode]
-    refs: tuple[str, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,7 +98,7 @@ class IngestConfig:
 
 @dataclass(frozen=True, slots=True)
 class IngestStats:
-    """Counters accumulated while loading one file."""
+    """Counters of one load, plus the lines it rejected and the bytes it read."""
 
     records_accepted: int = 0
     lines_rejected: int = 0
@@ -109,6 +108,7 @@ class IngestStats:
     negative_age_citations_skipped: int = 0
     duplicate_authors_collapsed: int = 0
     rejected_lines: tuple[tuple[int, str], ...] = ()
+    bytes_read: int = field(default=0, compare=False)  # a size, not a count of what was loaded
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -227,7 +227,7 @@ class _Caches:
 
     def __init__(self):
         # strings maps a string to the first equal one seen, so equal
-        # author names and refs share one object across the corpus
+        # DOIs, refs and author names share one object across the corpus
         strings = self.strings = _Memo(str)
         self.authors = _Memo(lambda raw: strings[normalize_author(raw)])
         self.codes = _Memo(_code_or_none)
@@ -240,7 +240,7 @@ def _parse_record(
     caches: _Caches,
     known: frozenset[str] | None,
     counters: dict[str, int],
-) -> PaperRecord:
+) -> tuple[PaperRecord, tuple[str, ...]]:
     if not isinstance(obj, dict):
         raise FormatError(lineno, "record is not a JSON object")
     try:
@@ -249,6 +249,7 @@ def _parse_record(
         raise FormatError(lineno, f"missing field {exc.args[0]!r}") from None
     if not isinstance(doi, str) or not doi:
         raise FormatError(lineno, "doi must be a non-empty string")
+    doi = caches.strings[doi]
     if not isinstance(title, str):
         raise FormatError(lineno, "title must be a string")
     names = _lookup_all(caches.authors, authors, tuple)
@@ -282,23 +283,19 @@ def _parse_record(
         if known is not None:
             counters["unknown"] += sum(code is not None and code.text not in known for code in listed)
 
-    return PaperRecord(
-        doi=doi,
-        title=title,
-        authors=names,
-        pub_year=year,
-        pacs=codes,
-        refs=targets,
-    )
+    return PaperRecord(doi=doi, authors=names, pub_year=year, pacs=codes), targets
 
 
-def load_corpus(path, config: IngestConfig | None = None) -> Corpus:
+def load_corpus(path, config: IngestConfig | None = None, digest=None) -> Corpus:
     """Load a JSON Lines metadata file into an immutable Corpus.
 
     PACS codes are truncated to level 3 and deduplicated per record;
     malformed codes are dropped and counted. Author names are normalized
     and deduplicated per record in first-seen order, each dropped repeat
     counted. Blank lines are skipped.
+
+    A ``digest`` (``hashlib.sha256()``, say) is updated with every raw
+    line read, blank and rejected ones included: the bytes loaded.
 
     Raises
     ------
@@ -322,23 +319,26 @@ def load_corpus(path, config: IngestConfig | None = None) -> Corpus:
     gc.disable()
     try:
         with handle:
-            papers, rejected, counters = _read_records(handle, path, cfg)
-        return _build_corpus(papers, rejected, counters)
+            papers, refs, rejected, counters = _read_records(handle, path, cfg, digest)
+            return _build_corpus(papers, refs, rejected, counters, handle.tell())
     finally:
         if gc_was_enabled:
             gc.enable()
 
 
 def _read_records(
-    handle, path, cfg: IngestConfig
-) -> tuple[dict[str, PaperRecord], list[tuple[int, str]], dict[str, int]]:
+    handle, path, cfg: IngestConfig, digest
+) -> tuple[dict[str, PaperRecord], list[tuple[str, ...]], list[tuple[int, str]], dict[str, int]]:
     papers: dict[str, PaperRecord] = {}
+    refs: list[tuple[str, ...]] = []
     rejected: list[tuple[int, str]] = []
     counters = {"malformed": 0, "unknown": 0, "duplicate_authors": 0}
     caches = _Caches()
     known = cfg.known_codes
     try:
         for lineno, raw in enumerate(handle, start=1):
+            if digest is not None:
+                digest.update(raw)
             try:
                 try:
                     line = raw.decode("utf-8")
@@ -350,7 +350,7 @@ def _read_records(
                     if not line.strip():
                         continue
                     raise FormatError(lineno, f"invalid JSON: {exc.msg}") from None
-                record = _parse_record(obj, lineno, caches, known, counters)
+                record, targets = _parse_record(obj, lineno, caches, known, counters)
             except FormatError as exc:
                 if cfg.strict:
                     raise
@@ -359,32 +359,35 @@ def _read_records(
             if record.doi in papers:
                 raise DuplicateDoi(f"line {lineno}: duplicate doi {record.doi!r}")
             papers[record.doi] = record
+            refs.append(targets)
     except OSError as exc:
         raise IoFailure(f"error reading {path}: {exc}") from exc
-    return papers, rejected, counters
+    return papers, refs, rejected, counters
 
 
 def _build_corpus(
     papers: dict[str, PaperRecord],
+    refs: list[tuple[str, ...]],
     rejected: list[tuple[int, str]],
     counters: dict[str, int],
+    size: int,
 ) -> Corpus:
     citations: dict[str, list[tuple[str, int]]] = {}
     by_author: dict[AuthorId, list[str]] = {}
     dangling = 0
     negative_age = 0
-    for doi, record in papers.items():
+    for (doi, record), targets in zip(papers.items(), refs):
         for author in record.authors:
             dois = by_author.get(author)
             if dois is None:
                 by_author[author] = [doi]
             else:
                 dois.append(doi)
-        if not record.refs:
+        if not targets:
             continue
         year = record.pub_year
         pair = (doi, year)
-        for target in record.refs:
+        for target in targets:
             cited = papers.get(target)
             if cited is None:
                 dangling += 1
@@ -406,6 +409,7 @@ def _build_corpus(
         negative_age_citations_skipped=negative_age,
         duplicate_authors_collapsed=counters["duplicate_authors"],
         rejected_lines=tuple(rejected),
+        bytes_read=size,
     )
     return Corpus(
         papers=papers,

@@ -1,8 +1,13 @@
+import builtins
 import hashlib
+import io
 import json
+import os
+from pathlib import Path
 
 import pytest
 
+from pacsdiv import cli
 from pacsdiv.cli import _CONFIG_TYPES, DEFAULTS, main
 from conftest import ALL_COMMANDS, GOLDEN_ARGS, GOLDEN_DIR, paper, write_jsonl
 
@@ -328,3 +333,46 @@ def test_clean_rerun_removes_stale_dropped_report(fixture_path, tmp_path, capsys
     assert sorted(p.name for p in out_dir.iterdir()) == ["validate.csv", "validate.meta.json"]
     written = [str(out_dir / "validate.csv"), str(out_dir / "validate.meta.json")]
     assert capsys.readouterr().out.splitlines() == written
+
+
+def test_unwritable_out_dir_fails_before_the_load(tmp_path, capsys):
+    corpus = tmp_path / "malformed.jsonl"
+    corpus.write_text("not json\n")
+    (tmp_path / "F").write_text("")
+    out_dir = tmp_path / "F" / "sub"
+    assert main(["summary", "--input", str(corpus), "--out-dir", str(out_dir)]) == 3
+    assert capsys.readouterr().err.startswith(f"pacsdiv summary: error: cannot write to {out_dir}: ")
+
+
+def test_sidecar_describes_the_bytes_loaded(fixture_path, tmp_path, monkeypatch, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    original = fixture_path.read_bytes()
+    corpus.write_bytes(original)
+    build = cli.COMMANDS["summary"]
+
+    def build_then_overwrite_input(loaded, cfg):
+        corpus.write_bytes(b"changed after the load\n")
+        return build(loaded, cfg)
+
+    monkeypatch.setitem(cli.COMMANDS, "summary", build_then_overwrite_input)
+    assert main(["summary", "--input", str(corpus), "--out-dir", str(tmp_path / "out")]) == 0
+    meta = json.loads((tmp_path / "out" / "summary.meta.json").read_text())
+    assert meta["input"]["sha256"] == hashlib.sha256(original).hexdigest()
+    assert meta["input"]["size_bytes"] == len(original)
+
+
+@pytest.mark.parametrize("command", ALL_COMMANDS)
+def test_input_opened_once(command, fixture_path, tmp_path, monkeypatch, capsys):
+    opens = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and Path(file) == fixture_path:
+            opens.append(file)
+        return real_open(file, *args, **kwargs)
+
+    # pathlib opens files through io.open, everything else through builtins.open
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(io, "open", counting_open)
+    assert run_cli(command, fixture_path, tmp_path) == 0
+    assert len(opens) == 1

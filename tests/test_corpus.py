@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import hashlib
 from collections import Counter
 
 import pytest
@@ -10,6 +12,7 @@ from pacsdiv import (
     IngestConfig,
     IoFailure,
     PacsCode,
+    PaperRecord,
     YearRange,
     corpus_summary,
     diversity_distributions,
@@ -173,6 +176,46 @@ def test_crlf_line_endings(corpus_file, tmp_path):
     assert left.ingest_stats == right.ingest_stats
 
 
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+def test_digest_sees_every_byte_loaded(fixture_path, tmp_path, seed):
+    path = fixture_path if seed is None else messy_corpus(tmp_path / "messy.jsonl", 300, seed)
+    digest = hashlib.sha256()
+    corpus = load_corpus(path, IngestConfig(strict=False), digest)
+    data = path.read_bytes()
+    assert digest.hexdigest() == hashlib.sha256(data).hexdigest()
+    assert corpus.ingest_stats.bytes_read == len(data) == path.stat().st_size
+    if seed is not None:
+        # CRLF endings, blank lines, invalid UTF-8 and rejected lines all hashed
+        assert b"\r\n" in data and b"\n\n" in data and corpus.ingest_stats.lines_rejected
+        assert any(reason == "not valid UTF-8" for _, reason in corpus.ingest_stats.rejected_lines)
+
+
+def test_digest_of_file_without_final_newline(corpus_file):
+    path = corpus_file([paper("a", 1990, ["x"], []), paper("b", 1991, ["y"], [], refs=["a"])])
+    data = path.read_bytes().rstrip(b"\n")
+    path.write_bytes(data)
+    digest = hashlib.sha256()
+    corpus = load_corpus(path, digest=digest)
+    assert list(corpus.papers) == ["a", "b"]
+    assert digest.hexdigest() == hashlib.sha256(data).hexdigest()
+    assert corpus.ingest_stats.bytes_read == len(data)
+
+
+def test_record_keeps_only_what_a_table_reads():
+    assert tuple(f.name for f in dataclasses.fields(PaperRecord)) == ("doi", "authors", "pub_year", "pacs")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_each_doi_is_one_string(tmp_path, seed):
+    corpus = load_corpus(messy_corpus(tmp_path / "messy.jsonl", 300, seed), IngestConfig(strict=False))
+    assert corpus.citations_in
+    key_ids = {id(doi) for doi in corpus.papers}
+    assert key_ids == {id(record.doi) for record in corpus.papers.values()}
+    for cited, pairs in corpus.citations_in.items():
+        assert cited is corpus.papers[cited].doi
+        assert all(id(citing) in key_ids for citing, _ in pairs)
+
+
 def test_equal_author_names_share_one_string(corpus_file):
     corpus = load_corpus(
         corpus_file([paper("a", 1990, ["Alice Adams"], []), paper("b", 1991, ["alice  ADAMS"], [])])
@@ -256,7 +299,7 @@ def test_blank_lines_skipped(corpus_file, tmp_path):
 
 def test_unknown_fields_ignored(corpus_file):
     corpus = load_corpus(corpus_file([paper("a", 1990, ["x"], [], journal="PRX", volume=3)]))
-    assert corpus.papers["a"].title == "Paper a"
+    assert corpus.papers["a"].authors == ("x",)
 
 
 def test_missing_file_raises_io_failure(tmp_path):

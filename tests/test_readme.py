@@ -41,3 +41,11 @@ def test_readme_counter_table_is_ingest_stats():
     section = README.read_text(encoding="utf-8").split("\n## Ingest counters\n", 1)[1].split("\n## ", 1)[0]
     names = re.findall(r"^\| `([^`]+)` \|", section, re.MULTILINE)
     assert names == list(IngestStats().as_dict())
+
+
+def test_readme_exit_codes_are_reachable():
+    from pacsdiv.cli import EXIT_CODES, EXIT_OTHER
+
+    section = README.read_text(encoding="utf-8").split("\n## Exit codes\n", 1)[1].split("\n## ", 1)[0]
+    codes = [int(code) for code in re.findall(r"^\| (\d+) \|", section, re.MULTILINE)]
+    assert sorted(codes) == sorted({0, EXIT_OTHER} | set(EXIT_CODES.values()))
