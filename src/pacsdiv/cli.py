@@ -109,41 +109,28 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # tables
 
-CellKind = str  # "str" | "int" | "frac" | "auto"
-
-
 @dataclass(frozen=True)
 class Table:
-    columns: tuple[tuple[str, CellKind], ...]
+    """Column names and rows; every fraction or mean cell is a ``float``."""
+
+    columns: tuple[str, ...]
     rows: tuple[tuple, ...]
 
 
-def _csv_cell(kind: CellKind, value) -> str:
-    if kind == "frac":
-        return f"{value:.6f}"
-    if kind == "auto" and isinstance(value, float):
-        return f"{value:.6f}"
-    return str(value)
-
-
-def _json_cell(kind: CellKind, value):
-    if kind == "frac" or (kind == "auto" and isinstance(value, float)):
-        return round(value, 6)
-    return value
-
-
 def render_csv(table: Table) -> bytes:
+    """CSV with floats to 6 decimals and every other cell as ``str`` gives it."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([name for name, _ in table.columns])
+    writer.writerow(table.columns)
     for row in table.rows:
-        writer.writerow([_csv_cell(kind, v) for (_, kind), v in zip(table.columns, row)])
+        writer.writerow([f"{v:.6f}" if isinstance(v, float) else str(v) for v in row])
     return buf.getvalue().encode("utf-8")
 
 
 def render_json(table: Table) -> bytes:
+    """A JSON list of row objects, floats rounded to 6 decimals."""
     rows = [
-        {name: _json_cell(kind, v) for (name, kind), v in zip(table.columns, row)}
+        {name: round(v, 6) if isinstance(v, float) else v for name, v in zip(table.columns, row)}
         for row in table.rows
     ]
     return _json_bytes(rows)
@@ -187,14 +174,14 @@ def build_summary(corpus: Corpus, cfg: RunConfig) -> Table:
         ("paper_diversity_mean", stats.paper_diversity_mean),
         ("citations_per_paper", stats.citations_per_paper),
     )
-    return Table((("statistic", "str"), ("value", "auto")), rows)
+    return Table(("statistic", "value"), rows)
 
 
 def build_pacs_coverage(corpus: Corpus, cfg: RunConfig) -> Table:
     """fraction of papers with codes, per year"""
     fractions = papers_with_pacs_fraction_by_year(corpus)
     rows = tuple((year, frac) for year, frac in sorted(fractions.items()))
-    return Table((("year", "int"), ("fraction", "frac")), rows)
+    return Table(("year", "fraction"), rows)
 
 
 def _distribution_table(
@@ -203,7 +190,7 @@ def _distribution_table(
     authors, papers = distributions(corpus, _resolved_period(corpus, cfg), cfg.include_zero_pacs)
     rows = [("author", v, f) for v, f in sorted(authors.items())]
     rows += [("paper", v, f) for v, f in sorted(papers.items())]
-    return Table((("entity", "str"), (value_column, "int"), ("fraction", "frac")), tuple(rows))
+    return Table(("entity", value_column, "fraction"), tuple(rows))
 
 
 def build_pacs_counts(corpus: Corpus, cfg: RunConfig) -> Table:
@@ -221,12 +208,11 @@ def build_groups(corpus: Corpus, cfg: RunConfig) -> Table:
     table = co.group_fraction_table(
         corpus, cfg.windows, cfg.groups, cfg.author_mode, cfg.include_zero_pacs
     )
-    columns = (("window", "str"),) + tuple((label, "frac") for label in cfg.groups.labels)
     rows = tuple(
         (window,) + tuple(fractions[label] for label in cfg.groups.labels)
         for window, fractions in table.items()
     )
-    return Table(columns, rows)
+    return Table(("window", *cfg.groups.labels), rows)
 
 
 def build_flows(corpus: Corpus, cfg: RunConfig) -> Table:
@@ -244,14 +230,7 @@ def build_flows(corpus: Corpus, cfg: RunConfig) -> Table:
             rows.append(pair + ("entrants", "", tl, m.entrants[tl]))
         for fl in m.labels:
             rows.append(pair + ("leavers", fl, "", m.leavers[fl]))
-    columns = (
-        ("from_window", "str"),
-        ("to_window", "str"),
-        ("kind", "str"),
-        ("from_group", "str"),
-        ("to_group", "str"),
-        ("count", "int"),
-    )
+    columns = ("from_window", "to_window", "kind", "from_group", "to_group", "count")
     return Table(columns, tuple(rows))
 
 
@@ -276,25 +255,9 @@ def _series_rows(label_prefix: tuple, series: co.CitationSeries) -> list[tuple]:
 def build_citation_age(corpus: Corpus, cfg: RunConfig) -> Table:
     """average citations per paper at each age"""
     series = co.citations_by_age(corpus, _resolved_period(corpus, cfg), cfg.horizon)
-    entry = series.per_key["all"]
-    rows = tuple(
-        (
-            age,
-            entry.paper_count,
-            entry.citations_per_age[age],
-            entry.mean_per_age[age],
-            entry.cumulative_mean[age],
-        )
-        for age in range(cfg.horizon + 1)
-    )
-    columns = (
-        ("age", "int"),
-        ("papers", "int"),
-        ("citations", "int"),
-        ("mean_citations", "frac"),
-        ("cumulative_mean", "frac"),
-    )
-    return Table(columns, rows)
+    # one key, "all": drop the key column
+    rows = tuple(row[1:] for row in _series_rows((), series))
+    return Table(("age", "papers", "citations", "mean_citations", "cumulative_mean"), rows)
 
 
 def build_diversity_citations(corpus: Corpus, cfg: RunConfig) -> Table:
@@ -306,16 +269,7 @@ def build_diversity_citations(corpus: Corpus, cfg: RunConfig) -> Table:
                 corpus, cohort, cfg.horizon, scheme, cfg.include_zero_pacs
             )
             rows += _series_rows((cohort.label, keying_name), series)
-    columns = (
-        ("cohort", "str"),
-        ("keying", "str"),
-        ("key", "str"),
-        ("age", "int"),
-        ("papers", "int"),
-        ("citations", "int"),
-        ("mean_citations", "frac"),
-        ("cumulative_mean", "frac"),
-    )
+    columns = ("cohort", "keying", "key", "age", "papers", "citations", "mean_citations", "cumulative_mean")
     return Table(columns, tuple(rows))
 
 
@@ -329,25 +283,18 @@ def build_citation_dist(corpus: Corpus, cfg: RunConfig) -> Table:
         for key, hist in dists.items():
             for citations in sorted(hist):
                 rows.append((cohort.label, key, citations, hist[citations]))
-    columns = (
-        ("cohort", "str"),
-        ("key", "str"),
-        ("citations", "int"),
-        ("fraction", "frac"),
-    )
-    return Table(columns, tuple(rows))
+    return Table(("cohort", "key", "citations", "fraction"), tuple(rows))
 
 
 def build_share(corpus: Corpus, cfg: RunConfig) -> Table:
     """percentage of papers per diversity value, per cohort"""
     table = co.diversity_share_table(corpus, cfg.cohorts, cfg.include_zero_pacs)
     cohort_labels = list(table.keys())
-    columns = (("diversity", "str"),) + tuple((label, "frac") for label in cohort_labels)
     rows = tuple(
         (key,) + tuple(table[cohort][key] for cohort in cohort_labels)
         for key in co.SHARE_KEY_SCHEME.labels
     )
-    return Table(columns, rows)
+    return Table(("diversity", *cohort_labels), rows)
 
 
 def _corpus_facts(corpus: Corpus) -> dict[str, int | None]:
@@ -374,7 +321,7 @@ def build_validate(corpus: Corpus, cfg: RunConfig) -> Table:
         + [("citation_pairs_in_corpus", facts["citation_pairs"])]
         + [(name, facts[name] or 0) for name in ("year_min", "year_max")]
     )
-    return Table((("metric", "str"), ("value", "int")), rows)
+    return Table(("metric", "value"), rows)
 
 
 # Each builder's docstring is its command's help text.

@@ -1,4 +1,4 @@
-"""Weitzman diversity of PACS-code sets: the kernel and its oracles.
+"""Weitzman diversity of PACS-code sets: the closed-form kernel.
 
 On an ultrametric, Weitzman diversity is the total branch length of the
 tree spanned by the set (Weitzman 1992, "On Diversity", QJE 107:363).
@@ -10,11 +10,11 @@ the 3 edges of one code's path to the root.
 
 This is the sum the greedy route reaches -- seed with one element, add
 the rest one at a time, each contributing its minimum distance to the
-members already present -- in any insertion order. Two exhaustive
-oracles, the recursive max-form construction and brute-force
-enumeration of all insertion orders, are kept for cross-checking; the
-test suite requires the closed form, both oracles and an unsorted greedy
-to agree exactly.
+members already present -- in any insertion order. The test suite
+requires the closed form to agree exactly with an unsorted greedy and
+with two exhaustive references, the recursive max-form construction and
+brute-force enumeration of all insertion orders; those and the pairwise
+distance they use are test code, in ``tests/helpers.py``.
 
 Diversity values are always small non-negative integers, at most
 3 * (n - 1) for n distinct codes; duplicates contribute nothing.
@@ -26,21 +26,15 @@ authors.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import permutations
 from typing import Iterable, Sequence
 
-from .errors import SetTooLarge
-from .taxonomy import PacsCode, distance
+from .taxonomy import PacsCode
 
 __all__ = [
     "weitzman_diversity",
-    "weitzman_recursive_oracle",
-    "weitzman_permutation_oracle",
     "diversity_histogram",
     "compute_diversities",
 ]
-
-ORACLE_SIZE_CAP = 10
 
 
 def weitzman_diversity(codes: Iterable[PacsCode]) -> int:
@@ -59,87 +53,6 @@ def weitzman_diversity(codes: Iterable[PacsCode]) -> int:
         return 0
     fields = {10 * c.level1 + c.level2 for c in members}
     return len({f // 10 for f in fields}) + len(fields) + n - 3
-
-
-def weitzman_recursive_oracle(codes: Iterable[PacsCode]) -> int:
-    """Exact diversity by the recursive max-form construction.
-
-    D(Q) = max over s in Q of [D(Q \\ {s}) + dbar(s, Q \\ {s})], with
-    singletons at zero. Exponential in the set size; memoized over
-    subsets and capped at ORACLE_SIZE_CAP elements. Test-only oracle.
-
-    Raises
-    ------
-    SetTooLarge
-        If the deduplicated set exceeds the size cap.
-    """
-    members = sorted(set(codes))
-    n = len(members)
-    if n > ORACLE_SIZE_CAP:
-        raise SetTooLarge(f"oracle capped at {ORACLE_SIZE_CAP} elements, got {n}")
-    if n <= 1:
-        return 0
-
-    dist = [[distance(a, b) for b in members] for a in members]
-    memo: dict[int, int] = {}
-
-    def rec(mask: int) -> int:
-        if mask.bit_count() <= 1:
-            return 0
-        cached = memo.get(mask)
-        if cached is not None:
-            return cached
-        best = 0
-        for i in range(n):
-            bit = 1 << i
-            if not mask & bit:
-                continue
-            rest = mask & ~bit
-            dbar = min(dist[i][j] for j in range(n) if rest & (1 << j))
-            val = rec(rest) + dbar
-            if val > best:
-                best = val
-        memo[mask] = best
-        return best
-
-    return rec((1 << n) - 1)
-
-
-def weitzman_permutation_oracle(codes: Iterable[PacsCode]) -> int:
-    """Greedy insertion sum enumerated over every insertion order.
-
-    Returns the common value and raises if any two orders disagree,
-    which would falsify the order-invariance property the closed form
-    relies on. Factorial cost; capped like the recursive oracle.
-    """
-    members = sorted(set(codes))
-    n = len(members)
-    if n > ORACLE_SIZE_CAP - 2:
-        raise SetTooLarge(f"permutation oracle capped at {ORACLE_SIZE_CAP - 2} elements, got {n}")
-    if n <= 1:
-        return 0
-
-    dist = [[distance(a, b) for b in members] for a in members]
-    reference: int | None = None
-    for order in permutations(range(n)):
-        total = 0
-        for pos in range(1, n):
-            u = order[pos]
-            row = dist[u]
-            best = 4
-            for prev in range(pos):
-                d = row[order[prev]]
-                if d < best:
-                    best = d
-            total += best
-        if reference is None:
-            reference = total
-        elif total != reference:
-            raise AssertionError(
-                f"insertion order changed the diversity sum: {reference} vs {total}"
-            )
-    assert reference is not None
-    return reference
 
 
 def diversity_histogram(

@@ -13,10 +13,6 @@ class MalformedCode(PacsDivError):
     """A PACS string does not have four leading digits in AB.CD shape."""
 
 
-class SetTooLarge(PacsDivError):
-    """Exhaustive diversity oracle called above its size cap."""
-
-
 class IoFailure(PacsDivError):
     """Input file could not be read, or an output file could not be written."""
 

@@ -1,4 +1,4 @@
-"""PACS subject codes and the hierarchical distance between them.
+"""PACS subject codes, truncated to the third hierarchy level.
 
 PACS codes name physics subfields with up to five hierarchy levels
 ("04.25.dg": broad field 0, field 04, subfield 04.25, then two
@@ -6,12 +6,8 @@ finer letter levels). Everything here works on codes truncated to the
 third level -- the first four digits -- because deeper levels are
 unstable across scheme revisions. At that depth the hierarchy is purely
 positional: two codes' lowest common ancestor is determined by their
-shared digit prefix, so no taxonomy file is needed and the distance is
-computable from the code text alone.
-
-The distance counts upward steps from a level-3 code to the lowest
-common ancestor. All truncated codes sit at the same depth, which makes
-the count symmetric and an ultrametric: d(u,w) <= max(d(u,v), d(v,w)).
+shared digit prefix, so no taxonomy file is needed and the tree a code
+set spans is computable from the code text alone.
 """
 
 from __future__ import annotations
@@ -20,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import MalformedCode
 
-__all__ = ["PacsCode", "parse_pacs", "lca_level", "distance"]
+__all__ = ["PacsCode", "parse_pacs"]
 
 _DIGITS = frozenset("0123456789")
 
@@ -74,26 +70,3 @@ def parse_pacs(raw: str) -> PacsCode:
         raise MalformedCode(f"non-digit in first four positions: {raw!r}")
     return PacsCode(int(a), int(b), c + d)
 
-
-def lca_level(u: PacsCode, v: PacsCode) -> int:
-    """Hierarchy level of the lowest common ancestor of two codes.
-
-    3 = identical codes, 2 = same leading two-digit pair, 1 = same broad
-    field digit only, 0 = nothing shared below the root.
-    """
-    if u.level1 != v.level1:
-        return 0
-    if u.level2 != v.level2:
-        return 1
-    if u.level3 != v.level3:
-        return 2
-    return 3
-
-
-def distance(u: PacsCode, v: PacsCode) -> int:
-    """Ultrametric distance between two level-3 codes: 3 - lca_level.
-
-    The number of upward steps from either code to the lowest common
-    ancestor. Symmetric, zero exactly for equal codes, and bounded by 3.
-    """
-    return 3 - lca_level(u, v)

@@ -1,15 +1,21 @@
 """Shared test utilities: independent oracles and corpus generators.
 
 Everything here recomputes results through a different route than the
-library (explicit tree nodes instead of prefix arithmetic, block
-counting instead of greedy insertion, raw JSON scans instead of the
-loader) so that agreement between the two is meaningful.
+library (explicit tree nodes instead of prefix arithmetic, pairwise
+distances and exhaustive search instead of the closed-form tree length,
+block counting instead of greedy insertion, raw JSON scans instead of
+the loader) so that agreement between the two is meaningful. The
+library itself never calls the pairwise distance or the exhaustive
+Weitzman oracles; they live here as the reference its closed form is
+tested against.
 """
 
 import datetime
 import json
 import random
 import re
+from itertools import permutations
+from typing import Iterable
 
 from pacsdiv import PacsCode
 
@@ -49,6 +55,118 @@ def build_tree_lca(codes):
     return lca_depth
 
 
+def lca_level(u: PacsCode, v: PacsCode) -> int:
+    """Hierarchy level of the lowest common ancestor of two codes.
+
+    3 = identical codes, 2 = same leading two-digit pair, 1 = same broad
+    field digit only, 0 = nothing shared below the root.
+    """
+    if u.level1 != v.level1:
+        return 0
+    if u.level2 != v.level2:
+        return 1
+    if u.level3 != v.level3:
+        return 2
+    return 3
+
+
+def distance(u: PacsCode, v: PacsCode) -> int:
+    """Ultrametric distance between two level-3 codes: 3 - lca_level.
+
+    The number of upward steps from either code to the lowest common
+    ancestor. Symmetric, zero exactly for equal codes, and bounded by 3.
+    """
+    return 3 - lca_level(u, v)
+
+
+ORACLE_SIZE_CAP = 10
+
+
+class SetTooLarge(Exception):
+    """Exhaustive diversity oracle called above its size cap."""
+
+
+def weitzman_recursive_oracle(codes: Iterable[PacsCode]) -> int:
+    """Exact diversity by the recursive max-form construction.
+
+    D(Q) = max over s in Q of [D(Q \\ {s}) + dbar(s, Q \\ {s})], with
+    singletons at zero. Exponential in the set size; memoized over
+    subsets and capped at ORACLE_SIZE_CAP elements. Test-only oracle.
+
+    Raises
+    ------
+    SetTooLarge
+        If the deduplicated set exceeds the size cap.
+    """
+    members = sorted(set(codes))
+    n = len(members)
+    if n > ORACLE_SIZE_CAP:
+        raise SetTooLarge(f"oracle capped at {ORACLE_SIZE_CAP} elements, got {n}")
+    if n <= 1:
+        return 0
+
+    dist = [[distance(a, b) for b in members] for a in members]
+    memo: dict[int, int] = {}
+
+    def rec(mask: int) -> int:
+        if mask.bit_count() <= 1:
+            return 0
+        cached = memo.get(mask)
+        if cached is not None:
+            return cached
+        best = 0
+        for i in range(n):
+            bit = 1 << i
+            if not mask & bit:
+                continue
+            rest = mask & ~bit
+            dbar = min(dist[i][j] for j in range(n) if rest & (1 << j))
+            val = rec(rest) + dbar
+            if val > best:
+                best = val
+        memo[mask] = best
+        return best
+
+    return rec((1 << n) - 1)
+
+
+def weitzman_permutation_oracle(codes: Iterable[PacsCode]) -> int:
+    """Greedy insertion sum enumerated over every insertion order.
+
+    Returns the common value and raises if any two orders disagree,
+    which would falsify the order-invariance property the closed form
+    relies on. Factorial cost; capped like the recursive oracle.
+    """
+    members = sorted(set(codes))
+    n = len(members)
+    if n > ORACLE_SIZE_CAP - 2:
+        raise SetTooLarge(f"permutation oracle capped at {ORACLE_SIZE_CAP - 2} elements, got {n}")
+    if n <= 1:
+        return 0
+
+    dist = [[distance(a, b) for b in members] for a in members]
+    reference: int | None = None
+    for order in permutations(range(n)):
+        total = 0
+        for pos in range(1, n):
+            u = order[pos]
+            row = dist[u]
+            best = 4
+            for prev in range(pos):
+                d = row[order[prev]]
+                if d < best:
+                    best = d
+            total += best
+        if reference is None:
+            reference = total
+        elif total != reference:
+            raise AssertionError(
+                f"insertion order changed the diversity sum: {reference} vs {total}"
+            )
+    assert reference is not None
+    return reference
+
+
 def block_count_diversity(codes):
     """Closed form for the greedy sum on this 3-level ultrametric.
 
@@ -72,8 +190,6 @@ def greedy_insertion_sum(seq):
     invariance is probed through this greedy: every input order must
     land on the same sum.
     """
-    from pacsdiv import distance
-
     seen = []
     total = 0
     for code in seq:

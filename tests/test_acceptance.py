@@ -24,22 +24,27 @@ from pacsdiv import (
     citations_by_age,
     compute_diversities,
     corpus_summary,
-    distance,
     diversity_share_table,
     group_fraction_table,
-    lca_level,
     load_corpus,
     papers_with_pacs_fraction_by_year,
     parse_pacs,
     parse_year_ranges,
     transition_flows,
     weitzman_diversity,
-    weitzman_permutation_oracle,
-    weitzman_recursive_oracle,
 )
 from pacsdiv.cli import main
 from conftest import ALL_COMMANDS, GOLDEN_ARGS, GOLDEN_DIR
-from helpers import build_tree_lca, random_code, random_code_set, synth_corpus
+from helpers import (
+    build_tree_lca,
+    distance,
+    lca_level,
+    random_code,
+    random_code_set,
+    synth_corpus,
+    weitzman_permutation_oracle,
+    weitzman_recursive_oracle,
+)
 
 REAL_DATA_ENV = "PACSDIV_APS_DATA"
 

@@ -1,8 +1,10 @@
 import builtins
+import csv
 import hashlib
 import io
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
@@ -24,6 +26,43 @@ def test_golden_outputs(command, fixture_path, tmp_path, capsys):
     produced = (tmp_path / f"{command}.csv").read_bytes()
     expected = (GOLDEN_DIR / f"{command}.csv").read_bytes()
     assert produced == expected
+
+
+# each table's columns of names and labels; every other column holds numbers
+_LABEL_COLUMNS = {
+    "summary": {"statistic"},
+    "pacs-coverage": set(),
+    "pacs-counts": {"entity"},
+    "diversity-dist": {"entity"},
+    "groups": {"window"},
+    "flows": {"from_window", "to_window", "kind", "from_group", "to_group"},
+    "citation-age": set(),
+    "diversity-citations": {"cohort", "keying", "key"},
+    "citation-dist": {"cohort", "key"},
+    "share": {"diversity"},
+    "validate": {"metric"},
+}
+# how render_csv writes a float
+_FLOAT_CELL = re.compile(r"-?[0-9]+\.[0-9]{6}")
+
+
+@pytest.mark.parametrize("command", ALL_COMMANDS)
+def test_json_holds_the_golden_rows(command, fixture_path, tmp_path, capsys):
+    assert run_cli(command, fixture_path, tmp_path, "--format", "json") == 0
+    rows = json.loads((tmp_path / f"{command}.json").read_text(encoding="utf-8"))
+    with open(GOLDEN_DIR / f"{command}.csv", newline="", encoding="utf-8") as handle:
+        header, *golden = csv.reader(handle)
+    assert len(rows) == len(golden)
+    for row, cells in zip(rows, golden):
+        assert sorted(row) == sorted(header)
+        for name, cell in zip(header, cells):
+            value = row[name]
+            if name in _LABEL_COLUMNS[command]:
+                assert type(value) is str and value == cell, (name, value, cell)
+            elif _FLOAT_CELL.fullmatch(cell):
+                assert type(value) is float and f"{value:.6f}" == cell, (name, value, cell)
+            else:
+                assert type(value) is int and str(value) == cell, (name, value, cell)
 
 
 def test_stdout_lists_written_files(fixture_path, tmp_path, capsys):

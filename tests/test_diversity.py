@@ -4,9 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pacsdiv import (
-    ORACLE_SIZE_CAP,
     PacsCode,
-    SetTooLarge,
     UnknownAuthor,
     YearRange,
     author_diversity,
@@ -16,11 +14,16 @@ from pacsdiv import (
     paper_diversity,
     parse_pacs,
     weitzman_diversity,
+)
+from conftest import paper
+from helpers import (
+    ORACLE_SIZE_CAP,
+    SetTooLarge,
+    block_count_diversity,
+    greedy_insertion_sum,
     weitzman_permutation_oracle,
     weitzman_recursive_oracle,
 )
-from conftest import paper
-from helpers import block_count_diversity, greedy_insertion_sum
 
 level3 = st.tuples(st.integers(0, 9), st.integers(0, 4)).map(lambda t: f"{t[0]}{t[1]}")
 codes = st.builds(PacsCode, st.integers(0, 3), st.integers(0, 2), level3)

@@ -1,4 +1,5 @@
-"""The code-set layer imports nothing from the layers built on it."""
+"""The code-set layer imports nothing from the layers built on it, and
+the package exports no test-only code."""
 
 import ast
 from pathlib import Path
@@ -29,3 +30,28 @@ def test_kernel_layer_imports_no_upper_layer(module):
     imported = _imported_modules(PACKAGE / f"{module}.py")
     assert imported, "found no package imports at all"
     assert not imported & UPPER_LAYERS
+
+
+KERNEL_IMPORTS = {"diversity": {"taxonomy"}, "taxonomy": {"errors"}}
+
+
+@pytest.mark.parametrize("module", sorted(KERNEL_IMPORTS))
+def test_kernel_layer_imports_exactly(module):
+    assert _imported_modules(PACKAGE / f"{module}.py") == KERNEL_IMPORTS[module]
+
+
+# reference code the tests compare the package against (tests/helpers.py)
+TEST_ONLY_NAMES = (
+    "weitzman_recursive_oracle",
+    "weitzman_permutation_oracle",
+    "ORACLE_SIZE_CAP",
+    "SetTooLarge",
+    "distance",
+    "lca_level",
+)
+
+
+@pytest.mark.parametrize("name", TEST_ONLY_NAMES)
+def test_package_exports_no_test_only_code(name):
+    assert not hasattr(pacsdiv, name)
+    assert name not in pacsdiv.__all__

@@ -1,5 +1,6 @@
 """The README's library example runs against the golden fixture."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -25,6 +26,19 @@ def test_readme_library_example(fixture_path):
     assert annotated
     for expr, expected in annotated:
         assert eval(expr, namespace) == int(expected), expr
+
+
+def test_readme_library_imports_are_public():
+    import pacsdiv
+
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse(_library_block()))
+        if isinstance(node, ast.ImportFrom) and node.module == "pacsdiv"
+        for alias in node.names
+    ]
+    assert imported
+    assert set(imported) <= set(pacsdiv.__all__)
 
 
 def test_readme_commands_table_is_the_registry():

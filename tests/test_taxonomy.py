@@ -1,8 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from pacsdiv import MalformedCode, PacsCode, distance, lca_level, parse_pacs
-from helpers import build_tree_lca
+from pacsdiv import MalformedCode, PacsCode, parse_pacs
+from helpers import build_tree_lca, distance, lca_level
 
 level3 = st.tuples(st.integers(0, 9), st.integers(0, 4)).map(lambda t: f"{t[0]}{t[1]}")
 codes = st.builds(PacsCode, st.integers(0, 3), st.integers(0, 2), level3)
