@@ -7,6 +7,12 @@ were loaded and the tool version. Writes are atomic (temp file + rename)
 and all orderings are explicitly sorted, so identical input and
 configuration produce byte-identical outputs on every run.
 
+Once loaded, the corpus is moved to the collector's frozen generation
+(``gc.freeze``) until the command's files are written: it holds no
+reference cycles, and frozen it is never re-walked by the collections
+that building the table triggers. A caller that already holds frozen
+objects keeps them frozen, and no freeze is made for it.
+
 Configuration comes from flags, optionally layered over a JSON config
 file (flags win; each file value must have its key's JSON type), with
 built-in defaults: windows 1985-1990 through 2005-2010 in five-year
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -498,7 +505,19 @@ def run(command: str, cfg: RunConfig) -> list[Path]:
     lenient = cfg.lenient or command == "validate"
     digest = hashlib.sha256()
     corpus = load_corpus(cfg.input, IngestConfig(strict=not lenient), digest)
+    # frozen for the rest of the run (module docstring); a caller's own
+    # frozen objects, if any, are left as they are
+    freeze = gc.get_freeze_count() == 0
+    if freeze:
+        gc.freeze()
+    try:
+        return _build_and_write(command, corpus, cfg, digest.hexdigest())
+    finally:
+        if freeze:
+            gc.unfreeze()
 
+
+def _build_and_write(command: str, corpus: Corpus, cfg: RunConfig, sha256: str) -> list[Path]:
     try:
         resolved_period = _resolved_period(corpus, cfg).label
     except EmptyPeriod:
@@ -506,7 +525,7 @@ def run(command: str, cfg: RunConfig) -> list[Path]:
     table = COMMANDS[command](corpus, cfg)
     outputs = {
         cfg.out_dir / f"{command}.{cfg.format}": render_csv(table) if cfg.format == "csv" else render_json(table),
-        cfg.out_dir / f"{command}.meta.json": _meta_payload(command, corpus, cfg, resolved_period, digest.hexdigest()),
+        cfg.out_dir / f"{command}.meta.json": _meta_payload(command, corpus, cfg, resolved_period, sha256),
     }
     stats = corpus.ingest_stats
     dropped_path = cfg.out_dir / f"{command}.dropped.json"

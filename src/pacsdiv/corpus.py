@@ -3,7 +3,9 @@
 Input is JSON Lines: one UTF-8 JSON object per line, LF or CRLF line
 endings, with fields doi, title, authors, date (strictly YYYY-MM-DD),
 pacs, refs; unknown fields are ignored. A line that is not valid UTF-8
-is a malformed line like any other. A loaded corpus is immutable: every
+is a malformed line like any other, as is one nested too deeply to decode
+or holding an integer literal of more than 4300 digits, whatever the
+interpreter's own int/str limit. A loaded corpus is immutable: every
 analysis in the package is a pure read over it, and loading the same
 file twice yields identical contents.
 
@@ -31,6 +33,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from datetime import date
+from json.scanner import make_scanner
 from operator import itemgetter
 from typing import AbstractSet, Any, Callable, Iterator, Mapping, NewType
 
@@ -169,6 +172,32 @@ _get_fields = itemgetter(*_REQUIRED_FIELDS)
 # ASCII digits only: date.fromisoformat also takes "20200101" and ISO
 # week dates on Python 3.11+, which would make the year version-dependent
 _DATE_SHAPE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+# CPython's default int/str conversion limit (3.11+; 3.10.0-3.10.6 have
+# none): a longer integer literal is a malformed line on every version
+_MAX_INT_DIGITS = 4300
+
+
+def _json_int(literal: str) -> int:
+    """A JSON integer literal as an int; ValueError above ``_MAX_INT_DIGITS`` digits."""
+    if len(literal) - literal.startswith("-") > _MAX_INT_DIGITS:
+        raise ValueError(f"integer literal longer than {_MAX_INT_DIGITS} digits")
+    return int(literal)
+
+
+# the whitespace JSON allows around a value
+_JSON_SPACE = " \t\n\r"
+
+
+def _loads(line: str, lineno: int) -> object:
+    """``json.loads(line)``, with every way decoding can fail a FormatError."""
+    try:
+        return json.loads(line, parse_int=_json_int)
+    except json.JSONDecodeError as exc:
+        raise FormatError(lineno, f"invalid JSON: {exc.msg}") from None
+    except RecursionError:
+        raise FormatError(lineno, "invalid JSON: nested too deeply") from None
+    except ValueError as exc:  # an integer literal too long to convert
+        raise FormatError(lineno, f"invalid JSON: {exc}") from None
 
 
 class _Memo(dict):
@@ -335,6 +364,9 @@ def _read_records(
     counters = {"malformed": 0, "unknown": 0, "duplicate_authors": 0}
     caches = _Caches()
     known = cfg.known_codes
+    # the C scanner behind json.loads, called without its per-call wrapper;
+    # _loads decodes again whatever it does not accept, for the reject reason
+    scan = make_scanner(json.JSONDecoder(parse_int=_json_int))
     try:
         for lineno, raw in enumerate(handle, start=1):
             if digest is not None:
@@ -345,11 +377,15 @@ def _read_records(
                 except UnicodeDecodeError:
                     raise FormatError(lineno, "not valid UTF-8") from None
                 try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
+                    obj, end = scan(line, 0)
+                    decoded = end == len(line) or not line[end:].strip(_JSON_SPACE)
+                except (StopIteration, ValueError, RecursionError):
+                    decoded = False
+                if not decoded:
+                    # leading whitespace, trailing data or no valid value
                     if not line.strip():
                         continue
-                    raise FormatError(lineno, f"invalid JSON: {exc.msg}") from None
+                    obj = _loads(line, lineno)
                 record, targets = _parse_record(obj, lineno, caches, known, counters)
             except FormatError as exc:
                 if cfg.strict:

@@ -12,7 +12,7 @@ set spans is computable from the code text alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import MalformedCode
 
@@ -21,23 +21,30 @@ __all__ = ["PacsCode", "parse_pacs"]
 _DIGITS = frozenset("0123456789")
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class PacsCode:
+class PacsCode(namedtuple("PacsCode", ("level1", "level2", "level3"))):
     """A PACS code truncated to hierarchy level 3, canonical form "AB.CD".
 
     level1: broad-field digit; level2: field digit (level1+level2 form the
     leading two-digit pair); level3: the two-digit subfield pair.
+
+    An immutable tuple, so it orders, compares and hashes as its plain
+    ``(level1, level2, level3)`` tuple, and its hash runs in C: every code
+    of every paper's frozenset and author union is hashed at least once.
     """
 
-    level1: int
-    level2: int
-    level3: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 <= self.level1 <= 9 and 0 <= self.level2 <= 9):
-            raise MalformedCode(f"level1/level2 must be single digits, got {self.level1}, {self.level2}")
-        if len(self.level3) != 2 or self.level3[0] not in _DIGITS or self.level3[1] not in _DIGITS:
-            raise MalformedCode(f"level3 must be exactly two digits, got {self.level3!r}")
+    def __new__(cls, level1: int, level2: int, level3: str):
+        if not (0 <= level1 <= 9 and 0 <= level2 <= 9):
+            raise MalformedCode(f"level1/level2 must be single digits, got {level1}, {level2}")
+        if len(level3) != 2 or level3[0] not in _DIGITS or level3[1] not in _DIGITS:
+            raise MalformedCode(f"level3 must be exactly two digits, got {level3!r}")
+        return tuple.__new__(cls, (level1, level2, level3))
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, and so _replace, would skip the checks above
+        return cls(*iterable)
 
     @property
     def text(self) -> str:

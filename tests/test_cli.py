@@ -1,5 +1,6 @@
 import builtins
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -326,6 +327,76 @@ def test_invalid_utf8_line_strict_exit_code(fixture_path, tmp_path, capsys):
     assert main(["summary", "--input", str(mixed), "--out-dir", str(tmp_path)]) == 4
     assert "line 1: not valid UTF-8" in capsys.readouterr().err
     assert not (tmp_path / "summary.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ("[" * 100_000, "invalid JSON: nested too deeply"),
+        ('{"volume": ' + "7" * 5000 + "}", "invalid JSON: integer literal longer than 4300 digits"),
+    ],
+    ids=["deep-nesting", "long-integer"],
+)
+def test_undecodable_line_exit_codes(line, reason, fixture_path, tmp_path, capsys):
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text(fixture_path.read_text() + line + "\n")
+    assert main(["summary", "--input", str(mixed), "--out-dir", str(tmp_path / "strict")]) == 4
+    assert capsys.readouterr().err == f"pacsdiv summary: error: line 13: {reason}\n"
+    out_dir = tmp_path / "lenient"
+    assert main(["summary", "--input", str(mixed), "--out-dir", str(out_dir), "--lenient", *GOLDEN_ARGS]) == 0
+    report = json.loads((out_dir / "summary.dropped.json").read_text())
+    assert report == {"lines_rejected": 1, "lines": [{"line": 13, "reason": reason}]}
+    assert (out_dir / "summary.csv").read_bytes() == (GOLDEN_DIR / "summary.csv").read_bytes()
+
+
+@pytest.fixture(params=["gc-on", "gc-off", "caller-frozen"])
+def caller_gc(request):
+    """The caller's collector state; with "caller-frozen", a frozen list of its own."""
+    was_enabled = gc.isenabled()
+    if request.param == "gc-off":
+        gc.disable()
+    own = None
+    if request.param == "caller-frozen":
+        own = ["the caller's own"]
+        gc.freeze()
+    yield own
+    gc.unfreeze()
+    (gc.enable if was_enabled else gc.disable)()
+
+
+def _is_frozen(obj):
+    # gc.get_objects() lists the three generations, never the frozen objects
+    return gc.is_tracked(obj) and not any(o is obj for o in gc.get_objects())
+
+
+@pytest.mark.parametrize("exit_code", [0, 3, 4])
+def test_run_restores_gc_state(caller_gc, exit_code, fixture_path, tmp_path, monkeypatch, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(fixture_path.read_text() + ("garbage\n" if exit_code == 4 else ""))
+    out_dir = tmp_path / "out"
+    if exit_code == 3:
+        (out_dir / "summary.csv").mkdir(parents=True)  # the table cannot be written
+    during_build = []
+    build = cli.COMMANDS["summary"]
+
+    def recording_build(loaded, cfg):
+        during_build.append((gc.get_freeze_count(), _is_frozen(loaded.papers)))
+        return build(loaded, cfg)
+
+    monkeypatch.setitem(cli.COMMANDS, "summary", recording_build)
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    assert main(["summary", "--input", str(corpus), "--out-dir", str(out_dir)]) == exit_code
+    assert gc.isenabled() is enabled
+    assert len(during_build) == (exit_code != 4)
+    if caller_gc is None:
+        assert frozen == gc.get_freeze_count() == 0
+        # the loaded corpus is frozen while its table is built
+        assert all(count > 0 and loaded for count, loaded in during_build)
+    else:
+        # the caller's objects stay frozen, and nothing else is frozen with them
+        assert _is_frozen(caller_gc)
+        assert gc.get_freeze_count() <= frozen
+        assert all(count <= frozen and not loaded for count, loaded in during_build)
 
 
 def test_version_flag(capsys):

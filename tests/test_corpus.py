@@ -1,10 +1,13 @@
 import dataclasses
 import gc
 import hashlib
+import json
+import sys
 from collections import Counter
 
 import pytest
 
+from pacsdiv import corpus as corpus_module
 from pacsdiv import (
     DuplicateDoi,
     EmptyPeriod,
@@ -161,6 +164,124 @@ def test_invalid_utf8_line(tmp_path):
     corpus = load_corpus(path, IngestConfig(strict=False))
     assert list(corpus.papers) == ["a"]
     assert corpus.ingest_stats.rejected_lines == ((2, "not valid UTF-8"),)
+
+
+@pytest.fixture(params=["interpreter", "unlimited", "lowest"])
+def int_digit_limit(request):
+    """Run under the interpreter's own int/str digit limit, no limit, and the lowest one allowed."""
+    if request.param == "interpreter":
+        yield
+        return
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int/str digit limit")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0 if request.param == "unlimited" else sys.int_info.str_digits_check_threshold)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+_GOOD_LINE = json.dumps(paper("a", 1990, ["x"], ["04.25.dg"]))
+
+
+def _assert_line_2_malformed(path, line, reason):
+    path.write_text(_GOOD_LINE + "\n" + line + "\n")
+    with pytest.raises(FormatError) as err:
+        load_corpus(path)
+    assert (err.value.lineno, err.value.reason) == (2, reason)
+    corpus = load_corpus(path, IngestConfig(strict=False))
+    assert list(corpus.papers) == ["a"]
+    assert corpus.ingest_stats.rejected_lines == ((2, reason),)
+
+
+def test_deeply_nested_line_is_malformed(tmp_path):
+    _assert_line_2_malformed(tmp_path / "deep.jsonl", "[" * 100_000, "invalid JSON: nested too deeply")
+
+
+def test_long_integer_line_is_malformed(int_digit_limit, tmp_path):
+    line = json.dumps(paper("b", 1991, ["y"], [])).replace('"refs"', '"volume": ' + "7" * 5000 + ', "refs"')
+    _assert_line_2_malformed(tmp_path / "long.jsonl", line, "invalid JSON: integer literal longer than 4300 digits")
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_integer_literal_at_the_cap_is_accepted(sign, tmp_path):
+    if 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 4300:
+        pytest.skip("the interpreter itself refuses literals this long")
+    path = tmp_path / "long.jsonl"
+    path.write_text(_GOOD_LINE[:-1] + ', "volume": ' + sign + "7" * 4300 + "}\n")
+    assert list(load_corpus(path).papers) == ["a"]
+
+
+# lines json.loads decodes, and lines it rejects, that a data file can hold
+_CRAFTED_LINES = [
+    "\ufeff" + _GOOD_LINE,
+    "",
+    "  \t ",
+    "\u00a0",
+    _GOOD_LINE + "\r",
+    "  " + _GOOD_LINE + " \t",
+    _GOOD_LINE + " x",
+    _GOOD_LINE + "\x0c",
+    _GOOD_LINE[:-1],
+    '{"doi": "a"',
+    '{"doi": "a", }',
+    '"text"',
+    "[1, 2.5, true, null]",
+    "null",
+    "1e400",
+    "-0",
+    '{"doi": "a\\u0000"}',
+    '{"doi": "a\x01"}',
+    "NaN",
+]
+
+
+def _decoded_by_loader(path, monkeypatch):
+    """(line number -> the object the loader decoded, rejected lines) of a lenient load."""
+    decoded = {}
+    parse = corpus_module._parse_record
+
+    def spy(obj, lineno, *args):
+        decoded[lineno] = obj
+        return parse(obj, lineno, *args)
+
+    monkeypatch.setattr(corpus_module, "_parse_record", spy)
+    corpus = load_corpus(path, IngestConfig(strict=False))
+    return decoded, dict(corpus.ingest_stats.rejected_lines)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, None], ids=["messy-1", "messy-2", "messy-3", "crafted"])
+def test_decode_matches_json_loads(seed, tmp_path, monkeypatch):
+    path = tmp_path / "lines.jsonl"
+    if seed is None:
+        # one record per line, each with its own DOI so no line is a duplicate
+        lines = [line.replace('"a"', f'"d{i}"') for i, line in enumerate(_CRAFTED_LINES)]
+        path.write_bytes("\n".join(lines).encode() + b"\n")
+    else:
+        messy_corpus(path, 300, seed)
+    decoded, rejected = _decoded_by_loader(path, monkeypatch)
+    with open(path, "rb") as handle:
+        raw_lines = list(handle)
+    kinds = Counter()
+    for lineno, raw in enumerate(raw_lines, start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            assert rejected[lineno] == "not valid UTF-8"
+            continue
+        try:
+            expected = json.loads(line)
+        except json.JSONDecodeError as exc:
+            if line.strip():
+                kinds["rejected"] += 1
+                assert rejected[lineno] == f"invalid JSON: {exc.msg}"
+            else:
+                kinds["blank"] += 1
+                assert lineno not in rejected
+            assert lineno not in decoded
+            continue
+        kinds["decoded"] += 1
+        assert repr(decoded[lineno]) == repr(expected)
+    assert kinds["rejected"] and kinds["blank"] and kinds["decoded"]
 
 
 def test_crlf_line_endings(corpus_file, tmp_path):

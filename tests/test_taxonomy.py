@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -41,6 +43,51 @@ def test_constructor_validates():
         PacsCode(10, 0, "25")
     with pytest.raises(MalformedCode):
         PacsCode(0, 4, "2x")
+
+
+def test_every_way_to_build_a_code_validates():
+    with pytest.raises(MalformedCode):
+        PacsCode._make((10, 0, "25"))
+    with pytest.raises(MalformedCode):
+        parse_pacs("04.25")._replace(level3="2x")
+    assert parse_pacs("04.25")._replace(level3="30") == parse_pacs("04.30")
+
+
+def _every_code():
+    return [PacsCode(a, b, f"{c}{d}") for a in range(10) for b in range(10) for c in range(10) for d in range(10)]
+
+
+def test_codes_sort_by_their_levels():
+    every = _every_code()
+    assert len(set(every)) == 10_000
+    shuffled = every[:]
+    random.Random(8).shuffle(shuffled)
+    assert sorted(shuffled) == sorted(shuffled, key=lambda c: (c.level1, c.level2, c.level3)) == every
+
+
+def test_code_is_its_plain_tuple():
+    for code in _every_code():
+        plain = (code.level1, code.level2, code.level3)
+        assert code == plain and hash(code) == hash(plain)
+        assert parse_pacs(code.text) == code
+
+
+def test_truncated_variants_are_one_code():
+    left, right = parse_pacs("04.25.dg"), parse_pacs("04.25.-g")
+    assert left == right and hash(left) == hash(right)
+    assert len({left, right}) == 1
+
+
+def test_code_is_immutable():
+    code = parse_pacs("04.25.dg")
+    for name in ("level1", "level3", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(code, name, 1)
+    assert code == PacsCode(0, 4, "25")
+
+
+def test_code_repr():
+    assert repr(parse_pacs("64.70.P-")) == "PacsCode(level1=6, level2=4, level3='70')"
 
 
 def test_distance_examples():
