@@ -312,7 +312,7 @@ def _corpus_facts(corpus: Corpus) -> dict[str, int | None]:
         span = None
     return {
         "papers": len(corpus.papers),
-        "authors": len(corpus.papers_by_author),
+        "authors": len({name for record in corpus.papers.values() for name in record.authors}),
         "citation_pairs": sum(map(len, corpus.citations_in.values())),
         "year_min": span and span.start,
         "year_max": span and span.end - 1,

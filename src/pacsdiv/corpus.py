@@ -1,4 +1,4 @@
-"""Corpus loading: article metadata, author identities, citation index.
+"""Corpus loading: article metadata and the in-corpus citation index.
 
 Input is JSON Lines: one UTF-8 JSON object per line, LF or CRLF line
 endings, with fields doi, title, authors, date (strictly YYYY-MM-DD),
@@ -10,10 +10,10 @@ analysis in the package is a pure read over it, and loading the same
 file twice yields identical contents.
 
 Loading is one read of the file plus one pass over the accepted records
-to build the indexes. Each distinct raw DOI, author, date, PACS and
-reference string is checked and converted once per load, so equal values
-share one object in the corpus. A record keeps only what a table reads:
-its DOI, authors, publication year and codes.
+to build the citation index. Each distinct raw DOI, author, date, PACS
+and reference string is checked and converted once per load, so equal
+values share one object in the corpus. A record keeps only what a table
+reads: its DOI, authors, publication year and codes.
 
 Citations are derived strictly in-corpus: a reference counts only when
 the target DOI is also present in the file. References to anything else
@@ -127,17 +127,17 @@ class IngestStats:
 
 @dataclass(frozen=True, slots=True)
 class Corpus:
-    """Loaded collection of papers plus derived read-only indexes.
+    """A loaded corpus: its papers, its citation index and its load counters.
 
-    citations_in maps a cited DOI to the (citing DOI, citing pub_year)
-    pairs whose citing paper is also in the corpus; DOIs nobody cites
-    have no entry. papers_by_author maps normalized names to the DOIs
-    they appear on, in file order. Treat every container as frozen.
+    papers maps each DOI to its record, in file order. citations_in maps
+    a cited DOI to the (citing DOI, citing pub_year) pairs whose citing
+    paper is also in the corpus; DOIs nobody cites have no entry. Nothing
+    per author is stored: ``author_unions`` derives it from the records.
+    Treat every container as frozen.
     """
 
     papers: Mapping[str, PaperRecord]
     citations_in: Mapping[str, tuple[tuple[str, int], ...]]
-    papers_by_author: Mapping[AuthorId, tuple[str, ...]]
     ingest_stats: IngestStats
 
     def year_span(self) -> YearRange:
@@ -321,7 +321,9 @@ def load_corpus(path, config: IngestConfig | None = None, digest=None) -> Corpus
     PACS codes are truncated to level 3 and deduplicated per record;
     malformed codes are dropped and counted. Author names are normalized
     and deduplicated per record in first-seen order, each dropped repeat
-    counted. Blank lines are skipped.
+    counted. Blank lines, empty or holding only the whitespace JSON
+    allows (space, tab, CR, LF), are skipped; a line of any other
+    whitespace is malformed.
 
     A ``digest`` (``hashlib.sha256()``, say) is updated with every raw
     line read, blank and rejected ones included: the bytes loaded.
@@ -383,7 +385,7 @@ def _read_records(
                     decoded = False
                 if not decoded:
                     # leading whitespace, trailing data or no valid value
-                    if not line.strip():
+                    if not line.strip(_JSON_SPACE):
                         continue
                     obj = _loads(line, lineno)
                 record, targets = _parse_record(obj, lineno, caches, known, counters)
@@ -409,16 +411,9 @@ def _build_corpus(
     size: int,
 ) -> Corpus:
     citations: dict[str, list[tuple[str, int]]] = {}
-    by_author: dict[AuthorId, list[str]] = {}
     dangling = 0
     negative_age = 0
     for (doi, record), targets in zip(papers.items(), refs):
-        for author in record.authors:
-            dois = by_author.get(author)
-            if dois is None:
-                by_author[author] = [doi]
-            else:
-                dois.append(doi)
         if not targets:
             continue
         year = record.pub_year
@@ -450,7 +445,6 @@ def _build_corpus(
     return Corpus(
         papers=papers,
         citations_in={doi: tuple(pairs) for doi, pairs in citations.items()},
-        papers_by_author={a: tuple(d) for a, d in by_author.items()},
         ingest_stats=stats,
     )
 
@@ -483,21 +477,21 @@ def author_diversity(author: AuthorId, corpus: Corpus, window: YearRange) -> int
     published with pub_year in ``window`` (half-open), then measures the
     union's diversity. Publishing only zero-code papers in the window
     yields 0; an author absent from the corpus altogether is an error.
+    Each call scans the whole corpus: for many authors, take
+    ``corpus.author_unions(window)`` once instead.
 
     Raises
     ------
     UnknownAuthor
         If the author published nothing anywhere in the corpus.
     """
-    dois = corpus.papers_by_author.get(normalize_author(author))
-    if dois is None:
-        raise UnknownAuthor(f"no papers by {author!r} in corpus")
-    union: set[PacsCode] = set()
-    for doi in dois:
-        record = corpus.papers[doi]
-        if record.pub_year in window:
-            union.update(record.pacs)
-    return weitzman_diversity(union)
+    name = normalize_author(author)
+    union = corpus.author_unions(window).get(name)
+    if union is not None:
+        return weitzman_diversity(union)
+    if any(name in record.authors for record in corpus.papers.values()):
+        return 0
+    raise UnknownAuthor(f"no papers by {author!r} in corpus")
 
 
 def _distributions(

@@ -276,7 +276,8 @@ def _raw_accepted(path):
     """(accepted record dicts, rejected line numbers) of a lenient read.
 
     Splits the bytes on LF and rejects lines that are not UTF-8, not
-    JSON or not a well-typed record; blank lines are neither.
+    JSON or not a well-typed record; blank lines, empty or holding only
+    JSON whitespace, are neither.
     """
     with open(path, "rb") as handle:
         chunks = handle.read().split(b"\n")
@@ -288,7 +289,7 @@ def _raw_accepted(path):
         except UnicodeDecodeError:
             rejected.append(lineno)
             continue
-        if text.strip() == "":
+        if text.strip(" \t\n\r") == "":
             continue
         try:
             obj = json.loads(text)

@@ -13,6 +13,7 @@ import pytest
 from pacsdiv import cli
 from pacsdiv.cli import _CONFIG_TYPES, DEFAULTS, main
 from conftest import ALL_COMMANDS, GOLDEN_ARGS, GOLDEN_DIR, paper, write_jsonl
+from helpers import messy_corpus, raw_ingest_recount
 
 
 def run_cli(command, fixture_path, out_dir, *extra):
@@ -307,6 +308,15 @@ def test_validate_is_always_lenient(fixture_path, tmp_path, capsys):
     assert (tmp_path / "validate.dropped.json").exists()
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_validate_counts_distinct_authors(seed, tmp_path, capsys):
+    path = messy_corpus(tmp_path / "messy.jsonl", 300, seed)
+    assert main(["validate", "--input", str(path), "--out-dir", str(tmp_path)]) == 0
+    expected = len(raw_ingest_recount(path)["papers_by_author"])
+    assert f"authors,{expected}" in (tmp_path / "validate.csv").read_text().splitlines()
+    assert json.loads((tmp_path / "validate.meta.json").read_text())["corpus"]["authors"] == expected
+
+
 def test_invalid_utf8_line_lenient(fixture_path, tmp_path, capsys):
     mixed = tmp_path / "mixed.jsonl"
     mixed.write_bytes(fixture_path.read_bytes() + b'{"doi": "10.1103/P13", "title": "\xff"}\n')
@@ -334,12 +344,18 @@ def test_invalid_utf8_line_strict_exit_code(fixture_path, tmp_path, capsys):
     [
         ("[" * 100_000, "invalid JSON: nested too deeply"),
         ('{"volume": ' + "7" * 5000 + "}", "invalid JSON: integer literal longer than 4300 digits"),
+        # whitespace JSON does not allow is no blank line
+        ("\u00a0", "invalid JSON: Expecting value"),
+        ("\x0b", "invalid JSON: Expecting value"),
+        ("\x0c\r", "invalid JSON: Expecting value"),
+        ("\x1c\x1f", "invalid JSON: Expecting value"),
+        (" \u2028\t", "invalid JSON: Expecting value"),
     ],
-    ids=["deep-nesting", "long-integer"],
+    ids=["deep-nesting", "long-integer", "nbsp", "vertical-tab", "form-feed", "separators", "line-separator"],
 )
 def test_undecodable_line_exit_codes(line, reason, fixture_path, tmp_path, capsys):
     mixed = tmp_path / "mixed.jsonl"
-    mixed.write_text(fixture_path.read_text() + line + "\n")
+    mixed.write_text(fixture_path.read_text(encoding="utf-8") + line + "\n", encoding="utf-8")
     assert main(["summary", "--input", str(mixed), "--out-dir", str(tmp_path / "strict")]) == 4
     assert capsys.readouterr().err == f"pacsdiv summary: error: line 13: {reason}\n"
     out_dir = tmp_path / "lenient"

@@ -16,7 +16,9 @@ from pacsdiv import (
     IoFailure,
     PacsCode,
     PaperRecord,
+    UnknownAuthor,
     YearRange,
+    author_diversity,
     corpus_summary,
     diversity_distributions,
     load_corpus,
@@ -48,9 +50,18 @@ def test_normalize_preserves_diacritics():
     assert normalize_author("David Müller") != normalize_author("David Muller")
 
 
+def _papers_by_author(corpus):
+    """{normalized name: DOIs it appears on}, both in file order, from the records."""
+    by_author = {}
+    for record in corpus.papers.values():
+        for name in record.authors:
+            by_author.setdefault(name, []).append(record.doi)
+    return {name: tuple(dois) for name, dois in by_author.items()}
+
+
 def test_fixture_counts(fixture_corpus):
     assert len(fixture_corpus.papers) == 12
-    assert len(fixture_corpus.papers_by_author) == 6
+    assert len(_papers_by_author(fixture_corpus)) == 6
     stats = fixture_corpus.ingest_stats
     assert stats.records_accepted == 12
     assert stats.lines_rejected == 0
@@ -60,7 +71,7 @@ def test_fixture_counts(fixture_corpus):
 
 
 def test_fixture_merges_author_spellings(fixture_corpus):
-    by_author = fixture_corpus.papers_by_author
+    by_author = _papers_by_author(fixture_corpus)
     assert set(by_author) == {
         "alice adams", "bob brown", "carol chen", "david müller", "erin evans", "frank fox",
     }
@@ -271,7 +282,7 @@ def test_decode_matches_json_loads(seed, tmp_path, monkeypatch):
         try:
             expected = json.loads(line)
         except json.JSONDecodeError as exc:
-            if line.strip():
+            if line.strip(" \t\n\r"):
                 kinds["rejected"] += 1
                 assert rejected[lineno] == f"invalid JSON: {exc.msg}"
             else:
@@ -293,7 +304,6 @@ def test_crlf_line_endings(corpus_file, tmp_path):
     left, right = load_corpus(lf), load_corpus(crlf)
     assert left.papers == right.papers
     assert left.citations_in == right.citations_in
-    assert left.papers_by_author == right.papers_by_author
     assert left.ingest_stats == right.ingest_stats
 
 
@@ -353,7 +363,7 @@ def test_lenient_load_matches_raw_recount(tmp_path, seed, known):
     stats = corpus.ingest_stats
     assert stats.as_dict() == {name: expected[name] for name in stats.as_dict()}
     assert [lineno for lineno, _ in stats.rejected_lines] == expected["rejected_linenos"]
-    assert dict(corpus.papers_by_author) == expected["papers_by_author"]
+    assert _papers_by_author(corpus) == expected["papers_by_author"]
     assert dict(corpus.citations_in) == expected["citations_in"]
     # the corpus exercises every kind of mess it promises
     assert stats.lines_rejected and stats.malformed_pacs_dropped
@@ -444,7 +454,6 @@ def test_repeated_author_on_one_paper(corpus_file):
     corpus = load_corpus(corpus_file([paper("a", 1990, ["Same Name", "Other", "same  NAME"], [])]))
     record = corpus.papers["a"]
     assert record.authors == ("same name", "other")
-    assert corpus.papers_by_author["same name"] == ("a",)
     assert corpus.ingest_stats.duplicate_authors_collapsed == 1
 
 
@@ -553,8 +562,8 @@ def test_double_load_identical(fixture_path):
     first = load_corpus(fixture_path)
     second = load_corpus(fixture_path)
     assert list(first.papers) == list(second.papers)
+    assert first.papers == second.papers
     assert first.citations_in == second.citations_in
-    assert first.papers_by_author == second.papers_by_author
 
 
 def _code_set(texts):
@@ -589,3 +598,21 @@ def test_distributions_match_raw_recount(tmp_path, seed, include_zero_pacs):
             assert distributions(corpus, YearRange(start, end), include_zero_pacs) == expected
     # the corpora hold the code-less authors and papers the flag decides on
     assert empty_authors and empty_papers
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_author_diversity_matches_raw_recount(tmp_path, seed):
+    path = messy_corpus(tmp_path / "messy.jsonl", 300, seed)
+    corpus = load_corpus(path, IngestConfig(strict=False))
+    names = raw_ingest_recount(path)["papers_by_author"]
+    absent = 0
+    # the last window precedes every paper: each author is known but absent from it
+    for start, end in [(1990, 2002), (1995, 1996), (1985, 1990)]:
+        unions = raw_author_unions(path, (start, end))
+        absent += len(names.keys() - unions.keys())
+        for name in names:
+            expected = block_count_diversity(_code_set(unions.get(name, ())))
+            assert author_diversity(name, corpus, YearRange(start, end)) == expected, (name, start, end)
+    assert absent
+    with pytest.raises(UnknownAuthor):
+        author_diversity("nobody at all", corpus, YearRange(1990, 2002))

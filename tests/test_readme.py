@@ -57,6 +57,14 @@ def test_readme_counter_table_is_ingest_stats():
     assert names == list(IngestStats().as_dict())
 
 
+def test_readme_corpus_table_is_corpus_facts(fixture_corpus):
+    from pacsdiv.cli import _corpus_facts
+
+    section = README.read_text(encoding="utf-8").split("\n## Corpus facts\n", 1)[1].split("\n## ", 1)[0]
+    names = re.findall(r"^\| `([^`]+)` \|", section, re.MULTILINE)
+    assert names == list(_corpus_facts(fixture_corpus))
+
+
 def test_readme_exit_codes_are_reachable():
     from pacsdiv.cli import EXIT_CODES, EXIT_OTHER
 
