@@ -319,9 +319,8 @@ def _corpus_facts(corpus: Corpus) -> dict[str, int | None]:
     }
 
 
-def build_validate(corpus: Corpus, cfg: RunConfig) -> Table:
+def build_validate(corpus: Corpus, cfg: RunConfig, facts: dict[str, int | None]) -> Table:
     """ingest report only (always lenient)"""
-    facts = _corpus_facts(corpus)
     rows = tuple(
         [("papers", facts["papers"]), ("authors", facts["authors"])]
         + sorted(corpus.ingest_stats.as_dict().items())
@@ -331,8 +330,9 @@ def build_validate(corpus: Corpus, cfg: RunConfig) -> Table:
     return Table(("metric", "value"), rows)
 
 
-# Each builder's docstring is its command's help text.
-COMMANDS: dict[str, Callable[[Corpus, RunConfig], Table]] = {
+# Each builder's docstring is its command's help text. Each takes the
+# corpus and the settings; validate also takes the run's corpus facts.
+COMMANDS: dict[str, Callable[..., Table]] = {
     "summary": build_summary,
     "pacs-coverage": build_pacs_coverage,
     "pacs-counts": build_pacs_counts,
@@ -459,7 +459,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 # run
 
 
-def _meta_payload(command: str, corpus: Corpus, cfg: RunConfig, resolved_period: str, sha256: str) -> bytes:
+def _meta_payload(
+    command: str, corpus: Corpus, cfg: RunConfig, resolved_period: str, sha256: str, facts: dict[str, int | None]
+) -> bytes:
     meta = {
         "command": command,
         "tool": "pacsdiv",
@@ -477,7 +479,7 @@ def _meta_payload(command: str, corpus: Corpus, cfg: RunConfig, resolved_period:
             "author_mode": cfg.author_mode,
             "lenient": cfg.lenient,
         },
-        "corpus": _corpus_facts(corpus),
+        "corpus": facts,
         "ingest": corpus.ingest_stats.as_dict(),
     }
     return _json_bytes(meta)
@@ -522,10 +524,13 @@ def _build_and_write(command: str, corpus: Corpus, cfg: RunConfig, sha256: str) 
         resolved_period = _resolved_period(corpus, cfg).label
     except EmptyPeriod:
         resolved_period = None
-    table = COMMANDS[command](corpus, cfg)
+    # computed once: the sidecar records them and the validate table shows them
+    facts = _corpus_facts(corpus)
+    build = COMMANDS[command]
+    table = build(corpus, cfg, facts) if command == "validate" else build(corpus, cfg)
     outputs = {
         cfg.out_dir / f"{command}.{cfg.format}": render_csv(table) if cfg.format == "csv" else render_json(table),
-        cfg.out_dir / f"{command}.meta.json": _meta_payload(command, corpus, cfg, resolved_period, sha256),
+        cfg.out_dir / f"{command}.meta.json": _meta_payload(command, corpus, cfg, resolved_period, sha256, facts),
     }
     stats = corpus.ingest_stats
     dropped_path = cfg.out_dir / f"{command}.dropped.json"

@@ -3,17 +3,21 @@
 Input is JSON Lines: one UTF-8 JSON object per line, LF or CRLF line
 endings, with fields doi, title, authors, date (strictly YYYY-MM-DD),
 pacs, refs; unknown fields are ignored. A line that is not valid UTF-8
-is a malformed line like any other, as is one nested too deeply to decode
-or holding an integer literal of more than 4300 digits, whatever the
+is a malformed line like any other, as is one nesting arrays and objects
+more than 100 levels deep (a fixed cap well under the interpreter's
+recursion limit, so the caller's stack depth does not matter) or one
+holding an integer literal of more than 4300 digits, whatever the
 interpreter's own int/str limit. A loaded corpus is immutable: every
-analysis in the package is a pure read over it, and loading the same
-file twice yields identical contents.
+analysis in the package is a pure read over it, and loading the same file
+twice yields identical contents.
 
 Loading is one read of the file plus one pass over the accepted records
-to build the citation index. Each distinct raw DOI, author, date, PACS
-and reference string is checked and converted once per load, so equal
-values share one object in the corpus. A record keeps only what a table
-reads: its DOI, authors, publication year and codes.
+to build the citation index, whose lists become tuples in place. Each
+distinct raw DOI, author, date, PACS and reference string is checked and
+converted once per load, so equal values share one object in the corpus,
+and so do equal code sets: every record with the same codes holds one
+frozenset. A record is an immutable tuple of only what a table reads:
+its DOI, authors, publication year and codes.
 
 Citations are derived strictly in-corpus: a reference counts only when
 the target DOI is also present in the file. References to anything else
@@ -31,6 +35,7 @@ from __future__ import annotations
 import gc
 import json
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from datetime import date
 from json.scanner import make_scanner
@@ -74,14 +79,19 @@ def normalize_author(raw: str) -> AuthorId:
     return AuthorId(" ".join(raw.split()).casefold())
 
 
-@dataclass(frozen=True, slots=True)
-class PaperRecord:
-    """One article as loaded; its references live on only in ``Corpus.citations_in``."""
+class PaperRecord(namedtuple("PaperRecord", ("doi", "authors", "pub_year", "pacs"))):
+    """One article as loaded; its references live on only in ``Corpus.citations_in``.
 
-    doi: str
-    authors: tuple[AuthorId, ...]
-    pub_year: int
-    pacs: frozenset[PacsCode]
+    doi: the paper's DOI; authors: its normalised names, each once, in
+    listed order; pub_year: the year of its date; pacs: a frozenset of
+    its level-3 codes, one object shared by every paper of the load with
+    an equal set.
+
+    An immutable tuple, like ``PacsCode``: it compares and hashes as its
+    plain ``(doi, authors, pub_year, pacs)`` tuple, and is built as one.
+    """
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,15 +196,36 @@ def _json_int(literal: str) -> int:
 
 # the whitespace JSON allows around a value
 _JSON_SPACE = " \t\n\r"
+# the deepest a line may nest arrays and objects, the record itself being
+# level 1: far below the interpreter's recursion limit, so whether a line
+# decodes does not depend on the caller's stack or the Python version
+_MAX_DEPTH = 100
+# a JSON string (or the unterminated rest of a line), or one bracket
+_STRING_OR_BRACKET = re.compile(r'"(?:[^"\\]|\\.)*"?|[\[\]{}]')
+
+
+def _check_depth(line: str, lineno: int) -> None:
+    """FormatError if ``line`` nests deeper than ``_MAX_DEPTH``, brackets in strings aside."""
+    if line.count("[") + line.count("{") <= _MAX_DEPTH:
+        return
+    depth = 0
+    for token in _STRING_OR_BRACKET.findall(line):
+        if token == "[" or token == "{":
+            depth += 1
+            if depth > _MAX_DEPTH:
+                raise FormatError(lineno, "invalid JSON: nested too deeply")
+        elif token == "]" or token == "}":
+            depth -= 1
 
 
 def _loads(line: str, lineno: int) -> object:
     """``json.loads(line)``, with every way decoding can fail a FormatError."""
+    _check_depth(line, lineno)
     try:
         return json.loads(line, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise FormatError(lineno, f"invalid JSON: {exc.msg}") from None
-    except RecursionError:
+    except RecursionError:  # a caller within _MAX_DEPTH frames of the limit
         raise FormatError(lineno, "invalid JSON: nested too deeply") from None
     except ValueError as exc:  # an integer literal too long to convert
         raise FormatError(lineno, f"invalid JSON: {exc}") from None
@@ -252,7 +283,7 @@ def _lookup_all(memo: _Memo, items: object, container: type) -> Any:
 class _Caches:
     """The memo tables of one load."""
 
-    __slots__ = ("strings", "authors", "codes", "years")
+    __slots__ = ("strings", "authors", "codes", "years", "code_sets")
 
     def __init__(self):
         # strings maps a string to the first equal one seen, so equal
@@ -261,6 +292,9 @@ class _Caches:
         self.authors = _Memo(lambda raw: strings[normalize_author(raw)])
         self.codes = _Memo(_code_or_none)
         self.years = _Memo(_year_of)
+        # the first frozenset seen per distinct code set, shared by every
+        # record with an equal one
+        self.code_sets: dict[frozenset[PacsCode], frozenset[PacsCode]] = {}
 
 
 def _parse_record(
@@ -278,7 +312,7 @@ def _parse_record(
         raise FormatError(lineno, f"missing field {exc.args[0]!r}") from None
     if not isinstance(doi, str) or not doi:
         raise FormatError(lineno, "doi must be a non-empty string")
-    doi = caches.strings[doi]
+    doi = caches.strings.setdefault(doi, doi)
     if not isinstance(title, str):
         raise FormatError(lineno, "title must be a string")
     names = _lookup_all(caches.authors, authors, tuple)
@@ -311,8 +345,9 @@ def _parse_record(
         codes = codes - {None}
         if known is not None:
             counters["unknown"] += sum(code is not None and code.text not in known for code in listed)
+    codes = caches.code_sets.setdefault(codes, codes)
 
-    return PaperRecord(doi=doi, authors=names, pub_year=year, pacs=codes), targets
+    return PaperRecord(doi, names, year, codes), targets
 
 
 def load_corpus(path, config: IngestConfig | None = None, digest=None) -> Corpus:
@@ -388,7 +423,17 @@ def _read_records(
                     if not line.strip(_JSON_SPACE):
                         continue
                     obj = _loads(line, lineno)
-                record, targets = _parse_record(obj, lineno, caches, known, counters)
+                elif type(obj) is dict and len(obj) > len(_REQUIRED_FIELDS):
+                    # an accepted record nests deeper than its lists only
+                    # through an unknown field, so a plain record, the
+                    # common line, never pays for counting brackets
+                    _check_depth(line, lineno)
+                try:
+                    record, targets = _parse_record(obj, lineno, caches, known, counters)
+                except FormatError:
+                    # too deep outranks every other reason, as when decoding fails
+                    _check_depth(line, lineno)
+                    raise
             except FormatError as exc:
                 if cfg.strict:
                     raise
@@ -410,7 +455,9 @@ def _build_corpus(
     counters: dict[str, int],
     size: int,
 ) -> Corpus:
-    citations: dict[str, list[tuple[str, int]]] = {}
+    # each list becomes its tuple in place, so no second dict is built
+    # while every list is still alive
+    citations: dict[str, Any] = {}
     dangling = 0
     negative_age = 0
     for (doi, record), targets in zip(papers.items(), refs):
@@ -430,6 +477,8 @@ def _build_corpus(
                 pairs.append(pair)
             if year < cited.pub_year:
                 negative_age += 1
+    for doi, pairs in citations.items():
+        citations[doi] = tuple(pairs)
 
     stats = IngestStats(
         records_accepted=len(papers),
@@ -444,7 +493,7 @@ def _build_corpus(
     )
     return Corpus(
         papers=papers,
-        citations_in={doi: tuple(pairs) for doi, pairs in citations.items()},
+        citations_in=citations,
         ingest_stats=stats,
     )
 

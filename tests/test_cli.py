@@ -6,6 +6,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -315,6 +317,55 @@ def test_validate_counts_distinct_authors(seed, tmp_path, capsys):
     expected = len(raw_ingest_recount(path)["papers_by_author"])
     assert f"authors,{expected}" in (tmp_path / "validate.csv").read_text().splitlines()
     assert json.loads((tmp_path / "validate.meta.json").read_text())["corpus"]["authors"] == expected
+
+
+@pytest.mark.parametrize("command", ALL_COMMANDS)
+def test_corpus_facts_computed_once_per_run(command, fixture_path, tmp_path, monkeypatch, capsys):
+    calls = []
+    corpus_facts = cli._corpus_facts
+
+    def counting_facts(corpus):
+        calls.append(corpus)
+        return corpus_facts(corpus)
+
+    monkeypatch.setattr(cli, "_corpus_facts", counting_facts)
+    assert run_cli(command, fixture_path, tmp_path) == 0
+    assert len(calls) == 1
+
+
+# every command in turn, in one interpreter; prints each exit code
+_RUN_ALL_COMMANDS = f"""
+import sys
+from pacsdiv.cli import main
+for command in {ALL_COMMANDS!r}:
+    print(command, main([command, "--input", sys.argv[1], "--out-dir", "out", *sys.argv[2:]]))
+"""
+
+
+@pytest.mark.parametrize("lenient", [False, True], ids=["strict", "lenient"])
+@pytest.mark.parametrize("corpus", ["golden", "messy"])
+def test_outputs_do_not_depend_on_the_hash_seed(corpus, lenient, fixture_path, tmp_path):
+    if corpus == "golden":
+        path, extra = fixture_path, GOLDEN_ARGS
+    else:
+        path, extra = messy_corpus(tmp_path / "messy.jsonl", 300, seed=1), []
+    extra = [*extra, "--lenient"] if lenient else extra
+    package_root = str(Path(cli.__file__).parents[1])
+    results = []
+    for hash_seed in ("1", "2"):
+        cwd = tmp_path / f"hash-seed-{hash_seed}"
+        cwd.mkdir()
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": package_root}
+        proc = subprocess.run(
+            [sys.executable, "-c", _RUN_ALL_COMMANDS, str(path), *extra],
+            cwd=cwd, env=env, capture_output=True, timeout=120,
+        )
+        files = {p.name: p.read_bytes() for p in sorted((cwd / "out").iterdir())}
+        results.append((proc.returncode, proc.stdout, proc.stderr, files))
+    assert results[0] == results[1]
+    returncode, stdout, _, files = results[0]
+    assert returncode == 0 and stdout.count(b"\n") > len(ALL_COMMANDS)
+    assert "validate.meta.json" in files and ("validate.dropped.json" in files) == (corpus == "messy")
 
 
 def test_invalid_utf8_line_lenient(fixture_path, tmp_path, capsys):

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import hashlib
 import json
@@ -208,6 +207,53 @@ def test_deeply_nested_line_is_malformed(tmp_path):
     _assert_line_2_malformed(tmp_path / "deep.jsonl", "[" * 100_000, "invalid JSON: nested too deeply")
 
 
+def _nested_line(levels, where):
+    """A line nesting ``levels`` deep in all, the deepest value an empty array ``where`` says."""
+    if where == "bare array":
+        return "[" * levels + "]" * levels
+    if where == "unclosed array":
+        return "[" * levels
+    record = paper("b", 1991, ["y"], [])
+    record["authors" if where == "required field" else "extra"] = "@"
+    return json.dumps(record).replace('"@"', "[" * (levels - 1) + "]" * (levels - 1))
+
+
+def _frames_deeper(frames, fn):
+    """``fn()``, called ``frames`` Python frames below the caller."""
+    return fn() if frames == 0 else _frames_deeper(frames - 1, fn)
+
+
+# how a line nesting exactly _MAX_DEPTH deep loads: accepted, or its reject reason
+_AT_THE_CAP = {
+    "unknown field": None,
+    "required field": "authors must be a list of strings",
+    "bare array": "record is not a JSON object",
+    "unclosed array": "invalid JSON: Expecting value",
+}
+
+
+@pytest.mark.parametrize("where", list(_AT_THE_CAP))
+@pytest.mark.parametrize("deeper", [0, sys.getrecursionlimit() // 2], ids=["shallow", "deep-stack"])
+def test_nesting_cap_does_not_depend_on_the_stack(deeper, where, tmp_path):
+    cap = corpus_module._MAX_DEPTH
+    at_cap, over = _nested_line(cap, where), _nested_line(cap + 1, where)
+    if _AT_THE_CAP[where] is None:
+        path = tmp_path / "cap.jsonl"
+        path.write_text(_GOOD_LINE + "\n" + at_cap + "\n")
+        assert list(_frames_deeper(deeper, lambda: load_corpus(path)).papers) == ["a", "b"]
+    else:
+        _frames_deeper(deeper, lambda: _assert_line_2_malformed(tmp_path / "cap.jsonl", at_cap, _AT_THE_CAP[where]))
+    _frames_deeper(
+        deeper, lambda: _assert_line_2_malformed(tmp_path / "over.jsonl", over, "invalid JSON: nested too deeply")
+    )
+
+
+def test_brackets_in_strings_do_not_nest(corpus_file):
+    brackets = '[{\\"' * 200
+    path = corpus_file([paper("a", 1990, ["x"], []), paper("b", 1991, ["y"], [], extra=[brackets, {brackets: [1]}])])
+    assert load_corpus(path).papers["b"].authors == ("y",)
+
+
 def test_long_integer_line_is_malformed(int_digit_limit, tmp_path):
     line = json.dumps(paper("b", 1991, ["y"], [])).replace('"refs"', '"volume": ' + "7" * 5000 + ', "refs"')
     _assert_line_2_malformed(tmp_path / "long.jsonl", line, "invalid JSON: integer literal longer than 4300 digits")
@@ -333,7 +379,38 @@ def test_digest_of_file_without_final_newline(corpus_file):
 
 
 def test_record_keeps_only_what_a_table_reads():
-    assert tuple(f.name for f in dataclasses.fields(PaperRecord)) == ("doi", "authors", "pub_year", "pacs")
+    assert PaperRecord._fields == ("doi", "authors", "pub_year", "pacs")
+
+
+def test_record_is_an_immutable_tuple(fixture_corpus):
+    record = fixture_corpus.papers["10.1103/P01"]
+    with pytest.raises(AttributeError):
+        record.pub_year = 2000
+    with pytest.raises(AttributeError):
+        record.title = "a field it does not have"
+    assert record == (record.doi, record.authors, record.pub_year, record.pacs)
+    assert hash(record) == hash(tuple(record))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_equal_code_sets_are_one_object(tmp_path, seed):
+    path = messy_corpus(tmp_path / "messy.jsonl", 300, seed)
+    corpus = load_corpus(path, IngestConfig(strict=False))
+    first = {}
+    for record in corpus.papers.values():
+        assert first.setdefault(record.pacs, record.pacs) is record.pacs
+    accepted, _ = _raw_accepted(path)
+    assert len(first) == len({frozenset(_raw_codes(obj)) for obj in accepted})
+    assert len(first) < len(corpus.papers)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_citation_index_values_are_tuples(tmp_path, seed):
+    corpus = load_corpus(messy_corpus(tmp_path / "messy.jsonl", 300, seed), IngestConfig(strict=False))
+    assert corpus.citations_in
+    for pairs in corpus.citations_in.values():
+        assert type(pairs) is tuple and pairs
+        assert all(type(pair) is tuple for pair in pairs)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -71,3 +71,10 @@ def test_readme_exit_codes_are_reachable():
     section = README.read_text(encoding="utf-8").split("\n## Exit codes\n", 1)[1].split("\n## ", 1)[0]
     codes = [int(code) for code in re.findall(r"^\| (\d+) \|", section, re.MULTILINE)]
     assert sorted(codes) == sorted({0, EXIT_OTHER} | set(EXIT_CODES.values()))
+
+
+def test_readme_states_the_nesting_cap():
+    from pacsdiv.corpus import _MAX_DEPTH
+
+    section = README.read_text(encoding="utf-8").split("\n## Input format\n", 1)[1].split("\n## ", 1)[0]
+    assert f"more than {_MAX_DEPTH} levels deep" in " ".join(section.split())
