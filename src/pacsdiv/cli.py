@@ -167,9 +167,18 @@ def _resolved_period(corpus: Corpus, cfg: RunConfig) -> YearRange:
     return cfg.period if cfg.period is not None else corpus.year_span()
 
 
+def _period_with_papers(corpus: Corpus, cfg: RunConfig) -> YearRange:
+    """The period a ``--period`` command reads; EmptyPeriod when no paper falls in it."""
+    period = _resolved_period(corpus, cfg)
+    # the corpus span always holds a paper, so only a given period is scanned
+    if cfg.period is not None and next(corpus.papers_in(period), None) is None:
+        raise EmptyPeriod(f"no papers in {period.label}")
+    return period
+
+
 def build_summary(corpus: Corpus, cfg: RunConfig) -> Table:
     """corpus-level averages over a period"""
-    stats = corpus_summary(corpus, _resolved_period(corpus, cfg))
+    stats = corpus_summary(corpus, _period_with_papers(corpus, cfg))
     rows = (
         ("papers", stats.papers),
         ("authors", stats.authors),
@@ -194,7 +203,7 @@ def build_pacs_coverage(corpus: Corpus, cfg: RunConfig) -> Table:
 def _distribution_table(
     corpus: Corpus, cfg: RunConfig, distributions: Callable[..., tuple[dict, dict]], value_column: str
 ) -> Table:
-    authors, papers = distributions(corpus, _resolved_period(corpus, cfg), cfg.include_zero_pacs)
+    authors, papers = distributions(corpus, _period_with_papers(corpus, cfg), cfg.include_zero_pacs)
     rows = [("author", v, f) for v, f in sorted(authors.items())]
     rows += [("paper", v, f) for v, f in sorted(papers.items())]
     return Table(("entity", value_column, "fraction"), tuple(rows))
@@ -261,7 +270,7 @@ def _series_rows(label_prefix: tuple, series: co.CitationSeries) -> list[tuple]:
 
 def build_citation_age(corpus: Corpus, cfg: RunConfig) -> Table:
     """average citations per paper at each age"""
-    series = co.citations_by_age(corpus, _resolved_period(corpus, cfg), cfg.horizon)
+    series = co.citations_by_age(corpus, _period_with_papers(corpus, cfg), cfg.horizon)
     # one key, "all": drop the key column
     rows = tuple(row[1:] for row in _series_rows((), series))
     return Table(("age", "papers", "citations", "mean_citations", "cumulative_mean"), rows)

@@ -323,8 +323,7 @@ def _series_entry(paper_count: int, counts: list[int]) -> SeriesEntry:
 def _age_counts(corpus: Corpus, records: Iterable[PaperRecord], horizon: int) -> list[int]:
     counts = [0] * (horizon + 1)
     for record in records:
-        for _, citing_year in corpus.citations_in.get(record.doi, ()):
-            age = citing_year - record.pub_year
+        for age in corpus.citations_in.get(record.doi, ()):
             if 0 <= age <= horizon:
                 counts[age] += 1
     return counts
@@ -451,8 +450,8 @@ def citation_distribution_by_diversity(
         per_paper: list[int] = []
         for record in records:
             c = 0
-            for _, citing_year in corpus.citations_in.get(record.doi, ()):
-                if 0 <= citing_year - record.pub_year <= horizon:
+            for age in corpus.citations_in.get(record.doi, ()):
+                if 0 <= age <= horizon:
                     c += 1
             per_paper.append(c)
         counts = Counter(per_paper)

@@ -20,11 +20,12 @@ frozenset. A record is an immutable tuple of only what a table reads:
 its DOI, authors, publication year and codes.
 
 Citations are derived strictly in-corpus: a reference counts only when
-the target DOI is also present in the file. References to anything else
-are tallied as dangling. Citation age is the calendar-year difference
-between the citing and cited papers; negative ages are kept in the index
-(they are reference pairs) but counted at load time so age-based
-analyses can skip them as data errors.
+the target DOI is that of an accepted paper. References to anything else
+are tallied as dangling. The citation index holds each citation as its
+age, the citing paper's publication year minus the cited paper's,
+computed here and nowhere else. Negative ages are kept in the index (each
+is still one reference) but counted at load time, so age-based analyses
+can skip them as data errors.
 
 The per-paper, per-author and per-period measures live here too: they
 apply the code-set kernel of ``diversity`` to a loaded corpus.
@@ -80,7 +81,7 @@ def normalize_author(raw: str) -> AuthorId:
 
 
 class PaperRecord(namedtuple("PaperRecord", ("doi", "authors", "pub_year", "pacs"))):
-    """One article as loaded; its references live on only in ``Corpus.citations_in``.
+    """One article as loaded; its references live on only as ages in ``Corpus.citations_in``.
 
     doi: the paper's DOI; authors: its normalised names, each once, in
     listed order; pub_year: the year of its date; pacs: a frozenset of
@@ -140,14 +141,15 @@ class Corpus:
     """A loaded corpus: its papers, its citation index and its load counters.
 
     papers maps each DOI to its record, in file order. citations_in maps
-    a cited DOI to the (citing DOI, citing pub_year) pairs whose citing
-    paper is also in the corpus; DOIs nobody cites have no entry. Nothing
-    per author is stored: ``author_unions`` derives it from the records.
-    Treat every container as frozen.
+    a cited DOI to the ages of its citations from papers in the corpus:
+    each citing pub_year minus the cited one, one per reference, in file
+    order of the citing papers, negative ages included. DOIs nobody cites
+    have no entry. Nothing per author is stored: ``author_unions`` derives
+    it from the records. Treat every container as frozen.
     """
 
     papers: Mapping[str, PaperRecord]
-    citations_in: Mapping[str, tuple[tuple[str, int], ...]]
+    citations_in: Mapping[str, tuple[int, ...]]
     ingest_stats: IngestStats
 
     def year_span(self) -> YearRange:
@@ -460,25 +462,25 @@ def _build_corpus(
     citations: dict[str, Any] = {}
     dangling = 0
     negative_age = 0
-    for (doi, record), targets in zip(papers.items(), refs):
+    for record, targets in zip(papers.values(), refs):
         if not targets:
             continue
         year = record.pub_year
-        pair = (doi, year)
         for target in targets:
             cited = papers.get(target)
             if cited is None:
                 dangling += 1
                 continue
-            pairs = citations.get(target)
-            if pairs is None:
-                citations[target] = [pair]
+            age = year - cited.pub_year
+            ages = citations.get(target)
+            if ages is None:
+                citations[target] = [age]
             else:
-                pairs.append(pair)
-            if year < cited.pub_year:
+                ages.append(age)
+            if age < 0:
                 negative_age += 1
-    for doi, pairs in citations.items():
-        citations[doi] = tuple(pairs)
+    for doi, ages in citations.items():
+        citations[doi] = tuple(ages)
 
     stats = IngestStats(
         records_accepted=len(papers),
@@ -625,8 +627,8 @@ def corpus_summary(corpus: Corpus, period: YearRange) -> SummaryStats:
         total_authors_listed += len(record.authors)
         total_codes += len(record.pacs)
         total_paper_div += weitzman_diversity(record.pacs)
-        for _, citing_year in corpus.citations_in.get(record.doi, ()):
-            if citing_year >= record.pub_year:
+        for age in corpus.citations_in.get(record.doi, ()):
+            if age >= 0:
                 total_citations += 1
 
     n_papers = len(in_period)

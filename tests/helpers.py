@@ -309,8 +309,8 @@ def raw_ingest_recount(path, known_codes=None):
     Bypasses the loader and recounts from the accepted records of
     ``_raw_accepted`` alone. Returns a dict with ``papers_by_author``
     ({name: tuple of DOIs}), ``citations_in`` ({cited DOI: tuple of
-    (citing DOI, citing year)}), ``rejected_linenos`` and every
-    ``IngestStats`` counter, all in file order.
+    ages, citing year minus cited year}), ``rejected_linenos`` and
+    every ``IngestStats`` counter, all in file order.
     """
     accepted, rejected = _raw_accepted(path)
     year = {}
@@ -338,12 +338,13 @@ def raw_ingest_recount(path, known_codes=None):
             if target not in year:
                 dangling += 1
                 continue
-            citations.setdefault(target, []).append((doi, year[doi]))
-            if year[doi] < year[target]:
+            age = year[doi] - year[target]
+            citations.setdefault(target, []).append(age)
+            if age < 0:
                 negative += 1
     return {
         "papers_by_author": {name: tuple(dois) for name, dois in by_author.items()},
-        "citations_in": {doi: tuple(pairs) for doi, pairs in citations.items()},
+        "citations_in": {doi: tuple(ages) for doi, ages in citations.items()},
         "rejected_linenos": rejected,
         "records_accepted": len(accepted),
         "lines_rejected": len(rejected),
@@ -353,6 +354,92 @@ def raw_ingest_recount(path, known_codes=None):
         "negative_age_citations_skipped": negative,
         "duplicate_authors_collapsed": repeated_authors,
     }
+
+
+def _raw_key(diversity):
+    """Integer keying: "0".."8", everything above pooled as "8+"."""
+    return str(diversity) if diversity <= 8 else "8+"
+
+
+def _raw_band(diversity):
+    """The default bands 0-2, 3-5 and 6+."""
+    return "low" if diversity <= 2 else "medium" if diversity <= 5 else "high"
+
+
+_RAW_KEY_ORDER = {
+    "integer": [str(i) for i in range(9)] + ["8+"],
+    "band": ["low", "medium", "high"],
+}
+
+
+def raw_citation_tables(path, cohorts, horizon, include_zero_pacs=False):
+    """Citation rows of a lenient load with the default period and bands, from the raw bytes.
+
+    Bypasses the loader: years, codes and ages come from the accepted
+    records of ``_raw_accepted``, diversities from ``block_count_diversity``.
+    ``cohorts`` is a list of half-open (start, end) pairs. Returns the
+    CSV cells, as written, of the ``summary`` row ``citations_per_paper``
+    and of every row of ``citation-age``, ``diversity-citations`` and
+    ``citation-dist``; the last two are None when a cohort holds no keyed
+    paper.
+    """
+    accepted, _ = _raw_accepted(path)
+    year = {obj["doi"]: _raw_year(obj["date"]) for obj in accepted}
+    codes = {obj["doi"]: _raw_codes(obj) for obj in accepted}
+    diversity = {
+        doi: block_count_diversity(PacsCode(int(t[0]), int(t[1]), t[3:]) for t in texts)
+        for doi, texts in codes.items()
+        if texts or include_zero_pacs
+    }
+    ages = {doi: [] for doi in year}
+    for obj in accepted:
+        for target in obj["refs"]:
+            if target in year:
+                ages[target].append(year[obj["doi"]] - year[target])
+    cited = {doi: sum(0 <= age <= horizon for age in doi_ages) for doi, doi_ages in ages.items()}
+
+    def series(dois):
+        counts = [0] * (horizon + 1)
+        for doi in dois:
+            for age in ages[doi]:
+                if 0 <= age <= horizon:
+                    counts[age] += 1
+        rows = []
+        running = 0.0
+        for age, c in enumerate(counts):
+            running += c / len(dois)
+            rows.append([str(age), str(len(dois)), str(c), f"{c / len(dois):.6f}", f"{running:.6f}"])
+        return rows
+
+    all_ages = [age for doi_ages in ages.values() for age in doi_ages]
+    tables = {
+        "summary": ["citations_per_paper", f"{sum(age >= 0 for age in all_ages) / len(accepted):.6f}"],
+        "citation-age": series(list(year)),
+        "diversity-citations": [],
+        "citation-dist": [],
+    }
+    for start, end in cohorts:
+        label = f"{start}-{end}"
+        keyed = [doi for doi in diversity if start <= year[doi] < end]
+        if not keyed:
+            tables["diversity-citations"] = tables["citation-dist"] = None
+            break
+        for keying, key_of in (("integer", _raw_key), ("band", _raw_band)):
+            by_key = {}
+            for doi in keyed:
+                by_key.setdefault(key_of(diversity[doi]), []).append(doi)
+            for key in _RAW_KEY_ORDER[keying]:
+                if key in by_key:
+                    tables["diversity-citations"] += [[label, keying, key, *row] for row in series(by_key[key])]
+        by_key = {}
+        for doi in keyed:
+            by_key.setdefault(_raw_key(diversity[doi]), []).append(cited[doi])
+        for key in _RAW_KEY_ORDER["integer"]:
+            if key in by_key:
+                counts = by_key[key]
+                for c in range(max(counts) + 1):
+                    tables["citation-dist"].append([label, key, str(c), f"{counts.count(c) / len(counts):.6f}"])
+    return tables
 
 
 def raw_author_unions(path, window, cumulative=False):
@@ -484,36 +571,40 @@ CODE_POOL = [
 _CODE_COUNT_WEIGHTS = [5, 19, 25, 20, 12, 8, 5, 3, 3]
 
 
+def _json_strings(items):
+    """``json.dumps`` of a list of strings that need no escaping."""
+    return '["' + '", "'.join(items) + '"]' if items else "[]"
+
+
 def synth_corpus(path, n_records, seed=7, dangling_every=997):
     """Write a deterministic synthetic corpus of n_records JSON lines.
 
     Years climb from 1985 across 25 calendar years, refs point at
     earlier records only (plus a sprinkle of dangling targets), authors
     come from a pool sized to give a few papers per author.
+
+    Each line is what ``json.dumps`` gives for the record, written
+    directly. ``below(n)`` draws what ``rng.randrange(n)`` does, and
+    ``a + below(b - a + 1)`` what ``rng.randint(a, b)`` does, without
+    their argument checks.
     """
     rng = random.Random(seed)
+    below = rng._randbelow
     n_authors = max(10, n_records // 3)
     counts = rng.choices(range(9), weights=_CODE_COUNT_WEIGHTS, k=n_records)
+    texts = [code.text for code in CODE_POOL]
     with open(path, "w", encoding="utf-8") as handle:
         for i in range(n_records):
             year = 1985 + (i * 25) // n_records
-            codes = rng.sample(CODE_POOL, counts[i])
-            refs = []
-            if i:
-                for _ in range(rng.randint(0, 5)):
-                    refs.append(f"10.s/{rng.randrange(i)}")
+            codes = rng.sample(texts, counts[i])
+            refs = [f"10.s/{below(i)}" for _ in range(below(6))] if i else []
             if i % dangling_every == 1:
                 refs.append("10.s/nowhere")
-            record = {
-                "doi": f"10.s/{i}",
-                "title": f"Synthetic record {i}",
-                "authors": [
-                    f"author {rng.randrange(n_authors)}"
-                    for _ in range(rng.randint(1, 4))
-                ],
-                "date": f"{year}-{rng.randint(1, 12):02d}-{rng.randint(1, 28):02d}",
-                "pacs": [f"{c.text}.{'abcdefgh'[rng.randrange(8)]}x" for c in codes],
-                "refs": refs,
-            }
-            handle.write(json.dumps(record) + "\n")
+            authors = [f"author {below(n_authors)}" for _ in range(1 + below(4))]
+            date = f"{year}-{1 + below(12):02d}-{1 + below(28):02d}"
+            pacs = [f"{text}.{'abcdefgh'[below(8)]}x" for text in codes]
+            handle.write(
+                f'{{"doi": "10.s/{i}", "title": "Synthetic record {i}", "authors": {_json_strings(authors)}, '
+                f'"date": "{date}", "pacs": {_json_strings(pacs)}, "refs": {_json_strings(refs)}}}\n'
+            )
     return path

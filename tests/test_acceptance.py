@@ -7,6 +7,7 @@ the converted APS metadata file.
 """
 
 import contextlib
+import hashlib
 import io
 import itertools
 import os
@@ -47,6 +48,24 @@ from helpers import (
 )
 
 REAL_DATA_ENV = "PACSDIV_APS_DATA"
+
+# sha256 of each synthetic corpus the criteria run on, by (n_records, seed):
+# a faster generator must write the same bytes
+_SYNTH_SHA256 = {
+    (2000, 6): "79247c15246c49f2a0a62aa0ec3ec43a5a9f1d2db8e942574c0e641afa890d9d",
+    (100_000, 13): "768b57672b079c40e435e69a33b9827912dc024d8c5851e19ea870d76728b6cc",
+    (400_000, 17): "4a366b6ff501fe704cd27f29bdffe0778a478d317d399ffabf66de10c2e64248",
+}
+
+
+def _pinned_synth(path, n_records, seed):
+    """``synth_corpus(path, n_records, seed)``, checked against its pinned sha256."""
+    digest = hashlib.sha256()
+    with open(synth_corpus(path, n_records, seed=seed), "rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(chunk)
+    assert digest.hexdigest() == _SYNTH_SHA256[n_records, seed]
+    return path
 
 
 def _report(name, detail):
@@ -140,7 +159,7 @@ def _window_group_counts(corpus, window, scheme):
 
 
 def test_criterion_conservation(fixture_corpus, tmp_path):
-    synth = load_corpus(synth_corpus(tmp_path / "synth2k.jsonl", 2000, seed=6))
+    synth = load_corpus(_pinned_synth(tmp_path / "synth2k.jsonl", 2000, 6))
     cases = [
         (
             fixture_corpus,
@@ -181,7 +200,7 @@ def test_criterion_conservation(fixture_corpus, tmp_path):
 
 
 def test_criterion_determinism(tmp_path):
-    path = synth_corpus(tmp_path / "synth100k.jsonl", 100_000, seed=13)
+    path = _pinned_synth(tmp_path / "synth100k.jsonl", 100_000, 13)
     tables = []
     metas = []
     for name in ("a", "b", "c"):
@@ -197,7 +216,7 @@ def test_criterion_determinism(tmp_path):
 
 
 def test_criterion_throughput(tmp_path):
-    path = synth_corpus(tmp_path / "synth400k.jsonl", 400_000, seed=17)
+    path = _pinned_synth(tmp_path / "synth400k.jsonl", 400_000, 17)
     t0 = time.perf_counter()
     corpus = load_corpus(path)
     diversities = compute_diversities([record.pacs for record in corpus.papers.values()])

@@ -8,14 +8,16 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pacsdiv import cli
 from pacsdiv.cli import _CONFIG_TYPES, DEFAULTS, main
 from conftest import ALL_COMMANDS, GOLDEN_ARGS, GOLDEN_DIR, paper, write_jsonl
-from helpers import messy_corpus, raw_ingest_recount
+from helpers import messy_corpus, raw_citation_tables, raw_ingest_recount
 
 
 def run_cli(command, fixture_path, out_dir, *extra):
@@ -263,6 +265,14 @@ def test_empty_period_exit_code(fixture_path, tmp_path, capsys):
     assert code == 6
 
 
+@pytest.mark.parametrize("command", ["summary", "pacs-counts", "diversity-dist", "citation-age"])
+def test_empty_period_exit_code_for_every_period_command(command, fixture_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(command, fixture_path, out, "--period", "1800-1801") == 6
+    assert capsys.readouterr().err == f"pacsdiv {command}: error: no papers in 1800-1801\n"
+    assert list(out.iterdir()) == []
+
+
 def test_empty_cohort_exit_code(fixture_path, tmp_path, capsys):
     code = main(
         [
@@ -331,6 +341,35 @@ def test_corpus_facts_computed_once_per_run(command, fixture_path, tmp_path, mon
     monkeypatch.setattr(cli, "_corpus_facts", counting_facts)
     assert run_cli(command, fixture_path, tmp_path) == 0
     assert len(calls) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    horizon=st.integers(1, 12),
+    split=st.integers(1991, 2001),
+    include_zero_pacs=st.booleans(),
+)
+def test_citation_tables_match_raw_recount(seed, horizon, split, include_zero_pacs):
+    cohorts = [(1990, split), (split, 2002)]
+    flags = ["--lenient", "--horizon", str(horizon), "--cohorts", ",".join(f"{a}-{b}" for a, b in cohorts)]
+    if include_zero_pacs:
+        flags.append("--include-zero-pacs")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = messy_corpus(Path(tmp) / "messy.jsonl", 200, seed)
+        expected = raw_citation_tables(path, cohorts, horizon, include_zero_pacs)
+        for command, rows in expected.items():
+            code = main([command, "--input", str(path), "--out-dir", tmp, *flags])
+            if rows is None:
+                assert code == 7, command
+                continue
+            assert code == 0, command
+            with open(Path(tmp) / f"{command}.csv", newline="", encoding="utf-8") as handle:
+                written = list(csv.reader(handle))[1:]
+            if command == "summary":
+                assert rows in written
+            else:
+                assert written == rows, command
 
 
 # every command in turn, in one interpreter; prints each exit code

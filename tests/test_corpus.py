@@ -84,23 +84,18 @@ def test_codes_truncated_and_deduplicated(fixture_corpus):
     assert p06.pacs == frozenset()
 
 
-def test_citations_in(fixture_corpus):
-    ages = {
-        doi: sorted(year - fixture_corpus.papers[doi].pub_year for _, year in pairs)
-        for doi, pairs in fixture_corpus.citations_in.items()
-    }
-    assert ages["10.1103/P01"] == [1, 2, 3, 13]
-    assert ages["10.1103/P10"] == [1]
+def test_citations_in(fixture_path, fixture_corpus):
+    raw = raw_citation_ages(fixture_path)
+    ages = {doi: sorted(doi_ages) for doi, doi_ages in fixture_corpus.citations_in.items()}
+    assert ages["10.1103/P01"] == raw["10.1103/P01"] == [1, 2, 3, 13]
+    assert ages["10.1103/P10"] == raw["10.1103/P10"] == [1]
     assert "10.1103/P12" not in ages
     assert "10.1103/PX99" not in fixture_corpus.citations_in
 
 
 def test_citation_conservation_against_raw_scan(fixture_path, fixture_corpus):
     raw = raw_citation_ages(fixture_path)
-    lib = {
-        doi: sorted(year - fixture_corpus.papers[doi].pub_year for _, year in pairs)
-        for doi, pairs in fixture_corpus.citations_in.items()
-    }
+    lib = {doi: sorted(doi_ages) for doi, doi_ages in fixture_corpus.citations_in.items()}
     assert lib == raw
     assert sum(len(v) for v in lib.values()) == 19
 
@@ -408,9 +403,9 @@ def test_equal_code_sets_are_one_object(tmp_path, seed):
 def test_citation_index_values_are_tuples(tmp_path, seed):
     corpus = load_corpus(messy_corpus(tmp_path / "messy.jsonl", 300, seed), IngestConfig(strict=False))
     assert corpus.citations_in
-    for pairs in corpus.citations_in.values():
-        assert type(pairs) is tuple and pairs
-        assert all(type(pair) is tuple for pair in pairs)
+    for ages in corpus.citations_in.values():
+        assert type(ages) is tuple and ages
+        assert all(type(age) is int for age in ages)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -419,9 +414,8 @@ def test_each_doi_is_one_string(tmp_path, seed):
     assert corpus.citations_in
     key_ids = {id(doi) for doi in corpus.papers}
     assert key_ids == {id(record.doi) for record in corpus.papers.values()}
-    for cited, pairs in corpus.citations_in.items():
+    for cited in corpus.citations_in:
         assert cited is corpus.papers[cited].doi
-        assert all(id(citing) in key_ids for citing, _ in pairs)
 
 
 def test_equal_author_names_share_one_string(corpus_file):
@@ -524,7 +518,7 @@ def test_negative_age_kept_but_counted(corpus_file):
     )
     corpus = load_corpus(path)
     assert corpus.ingest_stats.negative_age_citations_skipped == 1
-    assert corpus.citations_in["new"] == (("old", 1990),)
+    assert corpus.citations_in["new"] == (-5,)
 
 
 def test_repeated_author_on_one_paper(corpus_file):
