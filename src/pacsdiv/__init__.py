@@ -11,7 +11,6 @@ length of the tree the set spans.
 from .cohorts import (
     AUTHOR_MODES,
     CITATION_KEY_SCHEME,
-    DEFAULT_BAND_SCHEME,
     DEFAULT_GROUP_SCHEME,
     SHARE_KEY_SCHEME,
     CitationSeries,
@@ -36,13 +35,11 @@ from .corpus import (
     IngestStats,
     PaperRecord,
     SummaryStats,
-    author_diversity,
     corpus_summary,
     diversity_distributions,
     load_corpus,
     normalize_author,
     pacs_count_distributions,
-    paper_diversity,
     papers_with_pacs_fraction_by_year,
 )
 from .diversity import compute_diversities, diversity_histogram, weitzman_diversity
@@ -56,7 +53,6 @@ from .errors import (
     MalformedCode,
     OverlappingWindows,
     PacsDivError,
-    UnknownAuthor,
 )
 from .taxonomy import PacsCode, parse_pacs
 from .years import YearRange, parse_year_range, parse_year_ranges
@@ -70,7 +66,6 @@ __all__ = [
     "CitationSeries",
     "ConfigError",
     "Corpus",
-    "DEFAULT_BAND_SCHEME",
     "DEFAULT_GROUP_SCHEME",
     "DiversityGroupScheme",
     "DuplicateDoi",
@@ -89,10 +84,8 @@ __all__ = [
     "SHARE_KEY_SCHEME",
     "SeriesEntry",
     "SummaryStats",
-    "UnknownAuthor",
     "YearRange",
     "assign_group",
-    "author_diversity",
     "band_scheme_from_spec",
     "citation_distribution_by_diversity",
     "citations_by_age",
@@ -108,7 +101,6 @@ __all__ = [
     "load_corpus",
     "normalize_author",
     "pacs_count_distributions",
-    "paper_diversity",
     "papers_with_pacs_fraction_by_year",
     "parse_pacs",
     "parse_year_range",

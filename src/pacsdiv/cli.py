@@ -31,7 +31,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -163,15 +163,15 @@ def _atomic_write(path: Path, payload: bytes) -> None:
 # command builders
 
 
-def _resolved_period(corpus: Corpus, cfg: RunConfig) -> YearRange:
-    return cfg.period if cfg.period is not None else corpus.year_span()
-
-
 def _period_with_papers(corpus: Corpus, cfg: RunConfig) -> YearRange:
-    """The period a ``--period`` command reads; EmptyPeriod when no paper falls in it."""
-    period = _resolved_period(corpus, cfg)
-    # the corpus span always holds a paper, so only a given period is scanned
-    if cfg.period is not None and next(corpus.papers_in(period), None) is None:
+    """The period a ``--period`` command reads; EmptyPeriod when no paper falls in it.
+
+    ``cfg.period`` is already resolved: None only for an empty corpus.
+    """
+    period = cfg.period
+    if period is None:
+        raise EmptyPeriod("corpus has no papers")
+    if next(corpus.papers_in(period), None) is None:
         raise EmptyPeriod(f"no papers in {period.label}")
     return period
 
@@ -368,7 +368,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON config file; explicit flags win")
     common.add_argument("--windows", help="comma-separated year windows, e.g. 1985-90,1990-95")
     common.add_argument("--cohorts", help="comma-separated cohort year ranges")
-    common.add_argument("--period", help="year range for summary/coverage-style commands (default: full corpus span)")
+    common.add_argument(
+        "--period",
+        help="year range for summary, pacs-counts, diversity-dist and citation-age (default: full corpus span)",
+    )
     common.add_argument("--horizon", type=int, help="citation horizon in years (default 10)")
     common.add_argument("--groups", help="diversity group boundaries, e.g. 0-3,4-9,10-27,28+")
     common.add_argument("--bands", help="diversity band boundaries, e.g. 0-2,3-5,6+")
@@ -468,9 +471,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 # run
 
 
-def _meta_payload(
-    command: str, corpus: Corpus, cfg: RunConfig, resolved_period: str, sha256: str, facts: dict[str, int | None]
-) -> bytes:
+def _meta_payload(command: str, corpus: Corpus, cfg: RunConfig, sha256: str, facts: dict[str, int | None]) -> bytes:
     meta = {
         "command": command,
         "tool": "pacsdiv",
@@ -480,7 +481,7 @@ def _meta_payload(
             "format": cfg.format,
             "windows": [w.label for w in cfg.windows],
             "cohorts": [c.label for c in cfg.cohorts],
-            "period": resolved_period,
+            "period": cfg.period and cfg.period.label,
             "horizon": cfg.horizon,
             "groups": {label: list(b) for label, b in zip(cfg.groups.labels, cfg.groups.bounds)},
             "bands": {label: list(b) for label, b in zip(cfg.bands.labels, cfg.bands.bounds)},
@@ -513,9 +514,10 @@ def run(command: str, cfg: RunConfig) -> list[Path]:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoFailure(f"cannot write to {cfg.out_dir}: {exc}") from exc
-    lenient = cfg.lenient or command == "validate"
+    if command == "validate":
+        cfg = replace(cfg, lenient=True)
     digest = hashlib.sha256()
-    corpus = load_corpus(cfg.input, IngestConfig(strict=not lenient), digest)
+    corpus = load_corpus(cfg.input, IngestConfig(strict=not cfg.lenient), digest)
     # frozen for the rest of the run (module docstring); a caller's own
     # frozen objects, if any, are left as they are
     freeze = gc.get_freeze_count() == 0
@@ -529,17 +531,16 @@ def run(command: str, cfg: RunConfig) -> list[Path]:
 
 
 def _build_and_write(command: str, corpus: Corpus, cfg: RunConfig, sha256: str) -> list[Path]:
-    try:
-        resolved_period = _resolved_period(corpus, cfg).label
-    except EmptyPeriod:
-        resolved_period = None
-    # computed once: the sidecar records them and the validate table shows them
+    # computed once: the sidecar records them, the validate table shows
+    # them and their year bounds are the default period
     facts = _corpus_facts(corpus)
+    if cfg.period is None and facts["year_min"] is not None:
+        cfg = replace(cfg, period=YearRange(facts["year_min"], facts["year_max"] + 1))
     build = COMMANDS[command]
     table = build(corpus, cfg, facts) if command == "validate" else build(corpus, cfg)
     outputs = {
         cfg.out_dir / f"{command}.{cfg.format}": render_csv(table) if cfg.format == "csv" else render_json(table),
-        cfg.out_dir / f"{command}.meta.json": _meta_payload(command, corpus, cfg, resolved_period, sha256, facts),
+        cfg.out_dir / f"{command}.meta.json": _meta_payload(command, corpus, cfg, sha256, facts),
     }
     stats = corpus.ingest_stats
     dropped_path = cfg.out_dir / f"{command}.dropped.json"

@@ -37,7 +37,6 @@ __all__ = [
     "band_scheme_from_spec",
     "integer_key_scheme",
     "DEFAULT_GROUP_SCHEME",
-    "DEFAULT_BAND_SCHEME",
     "CITATION_KEY_SCHEME",
     "SHARE_KEY_SCHEME",
     "FlowMatrix",
@@ -146,7 +145,6 @@ def integer_key_scheme(max_int: int = 8, pooled_label: str = "8+") -> DiversityG
 
 
 DEFAULT_GROUP_SCHEME = group_scheme_from_spec("0-3,4-9,10-27,28+")
-DEFAULT_BAND_SCHEME = band_scheme_from_spec("0-2,3-5,6+")
 # Integer keying labels the pooled >8 bin "8+" to sit alongside key 8 in
 # citation tables; the share table pools the same population as "9+".
 CITATION_KEY_SCHEME = integer_key_scheme(8, "8+")
@@ -165,10 +163,8 @@ def _active_author_unions(
         raise ConfigError(f"author mode must be one of {AUTHOR_MODES}, got {mode!r}")
     unions = corpus.author_unions(window)
     if mode == "cumulative" and unions:
-        span = corpus.year_span()
-        if span.start < window.start:
-            earlier = YearRange(span.start, window.start)
-            for record in corpus.papers_in(earlier):
+        for record in corpus.papers.values():
+            if record.pub_year < window.start:
                 for author in record.authors:
                     if author in unions:
                         unions[author].update(record.pacs)
@@ -401,17 +397,21 @@ def diversity_share_table(
     """Percentage of cohort papers at each diversity 0..8, 9+ pooled.
 
     Keyed cohort label -> key label -> percentage; every key appears,
-    zeros included, and each column sums to 100 up to rounding. Cohorts
-    without keyed papers are omitted.
+    zeros included, and each column sums to 100 up to rounding.
+
+    Raises
+    ------
+    EmptyCohort
+        If a cohort holds no keyed papers.
     """
     table: dict[str, dict[str, float]] = {}
     for cohort in cohorts:
         by_key = _cohort_diversity_keys(
             corpus, cohort, SHARE_KEY_SCHEME, include_zero_pacs
         )
+        if not by_key:
+            raise EmptyCohort(f"no diversity-keyed papers in {cohort.label}")
         total = sum(len(records) for records in by_key.values())
-        if total == 0:
-            continue
         table[cohort.label] = {
             label: 100.0 * len(by_key.get(label, ())) / total
             for label in SHARE_KEY_SCHEME.labels

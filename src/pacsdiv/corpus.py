@@ -27,8 +27,10 @@ computed here and nowhere else. Negative ages are kept in the index (each
 is still one reference) but counted at load time, so age-based analyses
 can skip them as data errors.
 
-The per-paper, per-author and per-period measures live here too: they
-apply the code-set kernel of ``diversity`` to a loaded corpus.
+The per-period measures live here too: they apply the code-set kernel of
+``diversity`` to in-period papers' codes and to ``Corpus.author_unions``.
+A paper's diversity is the kernel on ``record.pacs``, an author's the
+kernel on their entry in ``author_unions(window)``.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from operator import itemgetter
 from typing import AbstractSet, Any, Callable, Iterator, Mapping, NewType
 
 from .diversity import diversity_histogram, weitzman_diversity
-from .errors import DuplicateDoi, EmptyPeriod, FormatError, IoFailure, MalformedCode, UnknownAuthor
+from .errors import DuplicateDoi, EmptyPeriod, FormatError, IoFailure, MalformedCode
 from .taxonomy import PacsCode, parse_pacs
 from .years import YearRange
 
@@ -57,8 +59,6 @@ __all__ = [
     "Corpus",
     "load_corpus",
     "papers_with_pacs_fraction_by_year",
-    "paper_diversity",
-    "author_diversity",
     "pacs_count_distributions",
     "diversity_distributions",
     "SummaryStats",
@@ -514,35 +514,6 @@ def papers_with_pacs_fraction_by_year(corpus: Corpus) -> dict[int, float]:
         if record.pacs:
             with_codes[year] = with_codes.get(year, 0) + 1
     return {year: with_codes.get(year, 0) / n for year, n in sorted(totals.items())}
-
-
-def paper_diversity(paper: PaperRecord) -> int:
-    """Diversity of one paper: the Weitzman diversity of its code set."""
-    return weitzman_diversity(paper.pacs)
-
-
-def author_diversity(author: AuthorId, corpus: Corpus, window: YearRange) -> int:
-    """Diversity of an author over a window of publication years.
-
-    Takes the union of the PACS codes of every paper the author
-    published with pub_year in ``window`` (half-open), then measures the
-    union's diversity. Publishing only zero-code papers in the window
-    yields 0; an author absent from the corpus altogether is an error.
-    Each call scans the whole corpus: for many authors, take
-    ``corpus.author_unions(window)`` once instead.
-
-    Raises
-    ------
-    UnknownAuthor
-        If the author published nothing anywhere in the corpus.
-    """
-    name = normalize_author(author)
-    union = corpus.author_unions(window).get(name)
-    if union is not None:
-        return weitzman_diversity(union)
-    if any(name in record.authors for record in corpus.papers.values()):
-        return 0
-    raise UnknownAuthor(f"no papers by {author!r} in corpus")
 
 
 def _distributions(

@@ -34,10 +34,6 @@ class EmptyPeriod(PacsDivError):
     """No papers fall inside the requested year range."""
 
 
-class UnknownAuthor(PacsDivError):
-    """Author has no papers anywhere in the corpus."""
-
-
 class EmptyCohort(PacsDivError):
     """No analyzable papers in the requested cohort."""
 

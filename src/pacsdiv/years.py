@@ -29,9 +29,6 @@ class YearRange:
     def label(self) -> str:
         return f"{self.start}-{self.end}"
 
-    def overlaps(self, other: "YearRange") -> bool:
-        return self.start < other.end and other.start < self.end
-
 
 def parse_year_range(text: str) -> YearRange:
     """Parse ``"1985-1990"`` or the short form ``"1985-90"``.

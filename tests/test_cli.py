@@ -273,16 +273,13 @@ def test_empty_period_exit_code_for_every_period_command(command, fixture_path, 
     assert list(out.iterdir()) == []
 
 
-def test_empty_cohort_exit_code(fixture_path, tmp_path, capsys):
-    code = main(
-        [
-            "diversity-citations",
-            "--input", str(fixture_path),
-            "--out-dir", str(tmp_path),
-            "--cohorts", "2050-2060",
-        ]
-    )
-    assert code == 7
+@pytest.mark.parametrize("cohorts", ["1800-1801", "1800-1801,1990-1997"])
+@pytest.mark.parametrize("command", ["diversity-citations", "citation-dist", "share"])
+def test_empty_cohort_exit_code(command, cohorts, fixture_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(command, fixture_path, out, "--cohorts", cohorts) == 7
+    assert capsys.readouterr().err == f"pacsdiv {command}: error: no diversity-keyed papers in 1800-1801\n"
+    assert list(out.iterdir()) == []
 
 
 def test_overlapping_windows_exit_code(fixture_path, tmp_path, capsys):
@@ -318,6 +315,7 @@ def test_validate_is_always_lenient(fixture_path, tmp_path, capsys):
     rows = (tmp_path / "validate.csv").read_text().splitlines()
     assert "lines_rejected,1" in rows
     assert (tmp_path / "validate.dropped.json").exists()
+    assert json.loads((tmp_path / "validate.meta.json").read_text())["settings"]["lenient"] is True
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -329,18 +327,28 @@ def test_validate_counts_distinct_authors(seed, tmp_path, capsys):
     assert json.loads((tmp_path / "validate.meta.json").read_text())["corpus"]["authors"] == expected
 
 
-@pytest.mark.parametrize("command", ALL_COMMANDS)
-def test_corpus_facts_computed_once_per_run(command, fixture_path, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "command, flags",
+    [(command, ()) for command in ALL_COMMANDS] + [("flows", ("--author-mode", "cumulative"))],
+    ids=[*ALL_COMMANDS, "flows-cumulative"],
+)
+def test_corpus_facts_computed_once_per_run(command, flags, fixture_path, tmp_path, monkeypatch, capsys):
     calls = []
     corpus_facts = cli._corpus_facts
+    year_span = cli.Corpus.year_span
 
     def counting_facts(corpus):
-        calls.append(corpus)
+        calls.append("facts")
         return corpus_facts(corpus)
 
+    def counting_span(corpus):
+        calls.append("year_span")
+        return year_span(corpus)
+
     monkeypatch.setattr(cli, "_corpus_facts", counting_facts)
-    assert run_cli(command, fixture_path, tmp_path) == 0
-    assert len(calls) == 1
+    monkeypatch.setattr(cli.Corpus, "year_span", counting_span)
+    assert run_cli(command, fixture_path, tmp_path, *flags) == 0
+    assert sorted(calls) == ["facts", "year_span"]
 
 
 @settings(max_examples=40, deadline=None)

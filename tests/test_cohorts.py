@@ -2,7 +2,6 @@ import pytest
 
 from pacsdiv import (
     CITATION_KEY_SCHEME,
-    DEFAULT_BAND_SCHEME,
     DEFAULT_GROUP_SCHEME,
     SHARE_KEY_SCHEME,
     ConfigError,
@@ -29,6 +28,7 @@ from helpers import messy_corpus, raw_author_unions
 
 W1, W2, W3 = YearRange(1990, 1995), YearRange(1995, 2000), YearRange(2000, 2005)
 COHORT1, COHORT2 = YearRange(1990, 1997), YearRange(1997, 2004)
+BANDS = band_scheme_from_spec("0-2,3-5,6+")
 
 
 def test_assign_group_defaults():
@@ -43,11 +43,11 @@ def test_assign_group_defaults():
 
 
 def test_assign_band_defaults():
-    assert assign_group(2, DEFAULT_BAND_SCHEME) == "low"
-    assert assign_group(3, DEFAULT_BAND_SCHEME) == "medium"
-    assert assign_group(5, DEFAULT_BAND_SCHEME) == "medium"
-    assert assign_group(6, DEFAULT_BAND_SCHEME) == "high"
-    assert assign_group(7, DEFAULT_BAND_SCHEME) == "high"
+    assert assign_group(2, BANDS) == "low"
+    assert assign_group(3, BANDS) == "medium"
+    assert assign_group(5, BANDS) == "medium"
+    assert assign_group(6, BANDS) == "high"
+    assert assign_group(7, BANDS) == "high"
 
 
 def test_assign_group_rejects_negative():
@@ -246,7 +246,7 @@ def test_citations_by_diversity_fixture_integer(fixture_corpus):
 
 def test_citations_by_diversity_fixture_bands(fixture_corpus):
     series = citations_by_diversity(
-        fixture_corpus, COHORT2, horizon=5, keying=DEFAULT_BAND_SCHEME
+        fixture_corpus, COHORT2, horizon=5, keying=BANDS
     )
     high = series.per_key["high"]
     assert high.paper_count == 3
@@ -300,9 +300,9 @@ def test_share_table_hand_example(corpus_file):
     assert shares["1"] == 0.0
 
 
-def test_share_table_omits_empty_cohort(fixture_corpus):
-    table = diversity_share_table(fixture_corpus, [YearRange(1950, 1960), COHORT1])
-    assert list(table) == ["1990-1997"]
+def test_share_table_rejects_empty_cohort(fixture_corpus):
+    with pytest.raises(EmptyCohort, match="no diversity-keyed papers in 1950-1960"):
+        diversity_share_table(fixture_corpus, [COHORT1, YearRange(1950, 1960)])
 
 
 def test_citation_distribution_fixture(fixture_corpus):

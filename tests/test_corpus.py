@@ -15,15 +15,14 @@ from pacsdiv import (
     IoFailure,
     PacsCode,
     PaperRecord,
-    UnknownAuthor,
     YearRange,
-    author_diversity,
     corpus_summary,
     diversity_distributions,
     load_corpus,
     normalize_author,
     pacs_count_distributions,
     papers_with_pacs_fraction_by_year,
+    weitzman_diversity,
 )
 from conftest import paper
 from helpers import (
@@ -681,9 +680,8 @@ def test_author_diversity_matches_raw_recount(tmp_path, seed):
     for start, end in [(1990, 2002), (1995, 1996), (1985, 1990)]:
         unions = raw_author_unions(path, (start, end))
         absent += len(names.keys() - unions.keys())
+        loaded = corpus.author_unions(YearRange(start, end))
         for name in names:
             expected = block_count_diversity(_code_set(unions.get(name, ())))
-            assert author_diversity(name, corpus, YearRange(start, end)) == expected, (name, start, end)
+            assert weitzman_diversity(loaded.get(name, set())) == expected, (name, start, end)
     assert absent
-    with pytest.raises(UnknownAuthor):
-        author_diversity("nobody at all", corpus, YearRange(1990, 2002))

@@ -5,13 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from pacsdiv import (
     PacsCode,
-    UnknownAuthor,
     YearRange,
-    author_diversity,
     diversity_histogram,
     load_corpus,
     pacs_count_distributions,
-    paper_diversity,
     parse_pacs,
     weitzman_diversity,
 )
@@ -158,23 +155,21 @@ def _mini_corpus(corpus_file):
     )
 
 
+def _author_diversity(corpus, name, window):
+    return weitzman_diversity(corpus.author_unions(window).get(name, set()))
+
+
 def test_author_diversity_windowed(corpus_file):
     corpus = _mini_corpus(corpus_file)
-    assert author_diversity("x", corpus, YearRange(1990, 1991)) == 0
-    assert author_diversity("x", corpus, YearRange(1990, 1992)) == 2
-    assert author_diversity("z", corpus, YearRange(1990, 1993)) == 0
-
-
-def test_author_diversity_unknown_author(corpus_file):
-    corpus = _mini_corpus(corpus_file)
-    with pytest.raises(UnknownAuthor):
-        author_diversity("nobody", corpus, YearRange(1990, 1993))
+    assert _author_diversity(corpus, "x", YearRange(1990, 1991)) == 0
+    assert _author_diversity(corpus, "x", YearRange(1990, 1992)) == 2
+    assert _author_diversity(corpus, "z", YearRange(1990, 1993)) == 0
 
 
 def test_paper_diversity(corpus_file):
     corpus = _mini_corpus(corpus_file)
-    assert paper_diversity(corpus.papers["b"]) == 2
-    assert paper_diversity(corpus.papers["c"]) == 0
+    assert weitzman_diversity(corpus.papers["b"].pacs) == 2
+    assert weitzman_diversity(corpus.papers["c"].pacs) == 0
 
 
 def test_pacs_count_distributions_excludes_zero_by_default(corpus_file):

@@ -1,6 +1,6 @@
 """The code-set layer imports nothing from the layers built on it, the
-package exports no test-only code, and every private name it defines is
-used."""
+package exports no test-only code, every private name it defines is
+used, and every public name has a reader in the package."""
 
 import ast
 from pathlib import Path
@@ -70,11 +70,14 @@ def _module_private_names(tree):
     return [name for name in names if name.startswith("_") and not name.startswith("__")]
 
 
-def test_no_unreferenced_private_names():
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
-    # every read of a name: plain, as an attribute, or imported by name
+def _package_trees():
+    return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _read_names(trees):
+    """Every name the trees read: plain, as an attribute, or imported by name."""
     used = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
@@ -82,6 +85,29 @@ def test_no_unreferenced_private_names():
                 used.add(node.attr)
             elif isinstance(node, ast.alias):
                 used.add(node.name)
+    return used
+
+
+def test_no_unreferenced_private_names():
+    trees = _package_trees()
+    used = _read_names(trees.values())
     defined = [(module, name) for module, tree in trees.items() for name in _module_private_names(tree)]
     assert defined, "found no private names at all"
     assert [(module, name) for module, name in defined if name not in used] == []
+
+
+def test_no_public_name_without_a_reader():
+    trees = _package_trees()
+    # the re-exports in __init__.py are not readers
+    used = _read_names(tree for module, tree in trees.items() if module != "__init__.py")
+    methods = [
+        f"{node.name}.{item.name}"
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_")
+    ]
+    assert methods, "found no public methods at all"
+    public = sorted(pacsdiv.__all__) + methods
+    assert [name for name in public if name.rpartition(".")[2] not in used] == []

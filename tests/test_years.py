@@ -28,11 +28,6 @@ def test_label():
     assert YearRange(1985, 1990).label == "1985-1990"
 
 
-def test_overlaps():
-    assert YearRange(1985, 1990).overlaps(YearRange(1989, 1995))
-    assert not YearRange(1985, 1990).overlaps(YearRange(1990, 1995))
-
-
 @pytest.mark.parametrize("bad", ["1990", "1990-1990", "1995-1990", "abc-1990", "1990-xyz", ""])
 def test_rejects_bad_ranges(bad):
     with pytest.raises(ConfigError):
