@@ -11,7 +11,6 @@ length of the tree the set spans.
 from .cohorts import (
     AUTHOR_MODES,
     CITATION_KEY_SCHEME,
-    DEFAULT_GROUP_SCHEME,
     SHARE_KEY_SCHEME,
     CitationSeries,
     DiversityGroupScheme,
@@ -66,7 +65,6 @@ __all__ = [
     "CitationSeries",
     "ConfigError",
     "Corpus",
-    "DEFAULT_GROUP_SCHEME",
     "DiversityGroupScheme",
     "DuplicateDoi",
     "EmptyCohort",

@@ -59,6 +59,10 @@ from .errors import (
 from .years import YearRange, parse_year_range, parse_year_ranges
 
 OUT_DIR_ENV = "PACSDIV_OUT_DIR"
+FORMATS = ("csv", "json")
+# dates are four-digit years, so no citation age exceeds 9998: a longer
+# horizon would only add rows of zeros
+MAX_HORIZON = 9999
 
 DEFAULTS: dict[str, Any] = {
     "format": "csv",
@@ -364,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", help="JSON Lines metadata file")
     common.add_argument("--out-dir", dest="out_dir", help=f"output directory (default ${OUT_DIR_ENV} or .)")
-    common.add_argument("--format", choices=("csv", "json"), help="table format (default csv)")
+    common.add_argument("--format", choices=FORMATS, help="table format (default csv)")
     common.add_argument("--config", help="JSON config file; explicit flags win")
     common.add_argument("--windows", help="comma-separated year windows, e.g. 1985-90,1990-95")
     common.add_argument("--cohorts", help="comma-separated cohort year ranges")
@@ -385,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--author-mode",
         dest="author_mode",
-        choices=("windowed", "cumulative"),
+        choices=co.AUTHOR_MODES,
         help="author diversity from window-only codes or cumulative-to-window codes",
     )
     common.add_argument(
@@ -428,6 +432,15 @@ def _load_config_file(path: str) -> dict[str, Any]:
     return data
 
 
+def _distinct_ranges(settings: dict[str, Any], key: str) -> tuple[YearRange, ...]:
+    """The year ranges of ``settings[key]``; ConfigError if one is listed twice."""
+    ranges = tuple(parse_year_ranges(settings[key]))
+    for i, year_range in enumerate(ranges):
+        if year_range in ranges[:i]:
+            raise ConfigError(f"{key} lists {year_range.label} more than once")
+    return ranges
+
+
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Layer defaults, config file and explicit flags into a RunConfig."""
     settings: dict[str, Any] = dict(DEFAULTS)
@@ -442,21 +455,23 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 
     if not settings["input"]:
         raise ConfigError("no input file given (--input or config)")
-    if settings["format"] not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {settings['format']!r}")
+    if settings["format"] not in FORMATS:
+        raise ConfigError(f"format must be {' or '.join(FORMATS)}, got {settings['format']!r}")
     if settings["author_mode"] not in co.AUTHOR_MODES:
         raise ConfigError(f"author-mode must be one of {co.AUTHOR_MODES}")
     horizon = settings["horizon"]
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
+    if horizon > MAX_HORIZON:
+        raise ConfigError(f"horizon must be <= {MAX_HORIZON}, got {horizon}")
 
     period = settings["period"]
     return RunConfig(
         input=Path(settings["input"]),
         out_dir=Path(settings["out_dir"]),
         format=settings["format"],
-        windows=tuple(parse_year_ranges(settings["windows"])),
-        cohorts=tuple(parse_year_ranges(settings["cohorts"])),
+        windows=_distinct_ranges(settings, "windows"),
+        cohorts=_distinct_ranges(settings, "cohorts"),
         period=parse_year_range(period) if period else None,
         horizon=horizon,
         groups=co.group_scheme_from_spec(settings["groups"]),

@@ -36,7 +36,6 @@ __all__ = [
     "group_scheme_from_spec",
     "band_scheme_from_spec",
     "integer_key_scheme",
-    "DEFAULT_GROUP_SCHEME",
     "CITATION_KEY_SCHEME",
     "SHARE_KEY_SCHEME",
     "FlowMatrix",
@@ -137,18 +136,17 @@ def band_scheme_from_spec(text: str) -> DiversityGroupScheme:
     return DiversityGroupScheme(labels, bounds)
 
 
-def integer_key_scheme(max_int: int = 8, pooled_label: str = "8+") -> DiversityGroupScheme:
-    """Per-integer keys 0..max_int plus one pooled open-ended top bin."""
-    labels = tuple(str(i) for i in range(max_int + 1)) + (pooled_label,)
-    bounds = tuple((i, i) for i in range(max_int + 1)) + ((max_int + 1, None),)
+def integer_key_scheme(pooled_label: str) -> DiversityGroupScheme:
+    """Per-integer keys 0..8 plus one open-ended bin pooling 9 and up as ``pooled_label``."""
+    labels = tuple(str(i) for i in range(9)) + (pooled_label,)
+    bounds = tuple((i, i) for i in range(9)) + ((9, None),)
     return DiversityGroupScheme(labels, bounds)
 
 
-DEFAULT_GROUP_SCHEME = group_scheme_from_spec("0-3,4-9,10-27,28+")
 # Integer keying labels the pooled >8 bin "8+" to sit alongside key 8 in
 # citation tables; the share table pools the same population as "9+".
-CITATION_KEY_SCHEME = integer_key_scheme(8, "8+")
-SHARE_KEY_SCHEME = integer_key_scheme(8, "9+")
+CITATION_KEY_SCHEME = integer_key_scheme("8+")
+SHARE_KEY_SCHEME = integer_key_scheme("9+")
 
 
 def _active_author_unions(
@@ -189,7 +187,7 @@ def _author_groups(
 def group_fraction_table(
     corpus: Corpus,
     windows: Sequence[YearRange],
-    scheme: DiversityGroupScheme = DEFAULT_GROUP_SCHEME,
+    scheme: DiversityGroupScheme,
     mode: str = "windowed",
     include_zero_pacs: bool = False,
 ) -> dict[str, dict[str, float]]:
@@ -232,7 +230,7 @@ class FlowMatrix:
 def transition_flows(
     corpus: Corpus,
     windows: Sequence[YearRange],
-    scheme: DiversityGroupScheme = DEFAULT_GROUP_SCHEME,
+    scheme: DiversityGroupScheme,
     mode: str = "windowed",
     include_zero_pacs: bool = False,
 ) -> list[FlowMatrix]:
@@ -348,6 +346,13 @@ def _cohort_diversity_keys(
     keying: DiversityGroupScheme,
     include_zero_pacs: bool,
 ) -> dict[str, list[PaperRecord]]:
+    """The cohort's keyed papers per key label, keys in the scheme's order.
+
+    Raises
+    ------
+    EmptyCohort
+        If the cohort holds no keyed papers.
+    """
     records = [
         r for r in corpus.papers_in(cohort) if r.pacs or include_zero_pacs
     ]
@@ -355,6 +360,8 @@ def _cohort_diversity_keys(
     by_key: dict[str, list[PaperRecord]] = {}
     for record, diversity in zip(records, divs):
         by_key.setdefault(assign_group(diversity, keying), []).append(record)
+    if not by_key:
+        raise EmptyCohort(f"no diversity-keyed papers in {cohort.label}")
     # deterministic key order: the scheme's own
     return {label: by_key[label] for label in keying.labels if label in by_key}
 
@@ -375,13 +382,12 @@ def citations_by_diversity(
     Raises
     ------
     EmptyCohort
-        If the cohort holds no keyed papers.
+        If the cohort holds no keyed papers (the rule of every
+        diversity-keyed table).
     """
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
     by_key = _cohort_diversity_keys(corpus, cohort, keying, include_zero_pacs)
-    if not by_key:
-        raise EmptyCohort(f"no diversity-keyed papers in {cohort.label}")
     per_key = {
         label: _series_entry(len(records), _age_counts(corpus, records, horizon))
         for label, records in by_key.items()
@@ -402,15 +408,12 @@ def diversity_share_table(
     Raises
     ------
     EmptyCohort
-        If a cohort holds no keyed papers.
+        If a cohort holds no keyed papers (the rule of every
+        diversity-keyed table).
     """
     table: dict[str, dict[str, float]] = {}
     for cohort in cohorts:
-        by_key = _cohort_diversity_keys(
-            corpus, cohort, SHARE_KEY_SCHEME, include_zero_pacs
-        )
-        if not by_key:
-            raise EmptyCohort(f"no diversity-keyed papers in {cohort.label}")
+        by_key = _cohort_diversity_keys(corpus, cohort, SHARE_KEY_SCHEME, include_zero_pacs)
         total = sum(len(records) for records in by_key.values())
         table[cohort.label] = {
             label: 100.0 * len(by_key.get(label, ())) / total
@@ -435,15 +438,12 @@ def citation_distribution_by_diversity(
     Raises
     ------
     EmptyCohort
-        If the cohort holds no keyed papers.
+        If the cohort holds no keyed papers (the rule of every
+        diversity-keyed table).
     """
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
-    by_key = _cohort_diversity_keys(
-        corpus, cohort, CITATION_KEY_SCHEME, include_zero_pacs
-    )
-    if not by_key:
-        raise EmptyCohort(f"no diversity-keyed papers in {cohort.label}")
+    by_key = _cohort_diversity_keys(corpus, cohort, CITATION_KEY_SCHEME, include_zero_pacs)
 
     result: dict[str, dict[int, float]] = {}
     for label, records in by_key.items():

@@ -97,17 +97,13 @@ class PaperRecord(namedtuple("PaperRecord", ("doi", "authors", "pub_year", "pacs
 
 @dataclass(frozen=True, slots=True)
 class IngestConfig:
-    """Knobs for load_corpus.
+    """The one setting of load_corpus.
 
     strict: a malformed line aborts the load with FormatError; when off,
     bad lines are counted, recorded and skipped.
-    known_codes: optional list of canonical "AB.CD" strings; well-formed
-    codes outside it are counted as unknown but kept (validation warning
-    only, never a distance change).
     """
 
     strict: bool = True
-    known_codes: frozenset[str] | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,7 +113,6 @@ class IngestStats:
     records_accepted: int = 0
     lines_rejected: int = 0
     malformed_pacs_dropped: int = 0
-    unknown_codes: int = 0
     dangling_refs: int = 0
     negative_age_citations_skipped: int = 0
     duplicate_authors_collapsed: int = 0
@@ -129,7 +124,6 @@ class IngestStats:
             "records_accepted": self.records_accepted,
             "lines_rejected": self.lines_rejected,
             "malformed_pacs_dropped": self.malformed_pacs_dropped,
-            "unknown_codes": self.unknown_codes,
             "dangling_refs": self.dangling_refs,
             "negative_age_citations_skipped": self.negative_age_citations_skipped,
             "duplicate_authors_collapsed": self.duplicate_authors_collapsed,
@@ -303,7 +297,6 @@ def _parse_record(
     obj: object,
     lineno: int,
     caches: _Caches,
-    known: frozenset[str] | None,
     counters: dict[str, int],
 ) -> tuple[PaperRecord, tuple[str, ...]]:
     if not isinstance(obj, dict):
@@ -338,15 +331,12 @@ def _parse_record(
         unique = tuple(dict.fromkeys(names))
         counters["duplicate_authors"] += len(names) - len(unique)
         names = unique
-    if None in codes or known is not None:
-        # both counters go per listed string, repeats included, so they
-        # come from the list; only records with a malformed code, or a
-        # known-code list to check, pay for this second pass
-        listed = [caches.codes[raw] for raw in pacs]
-        counters["malformed"] += listed.count(None)
+    if None in codes:
+        # the counter goes per listed string, repeats included, so it
+        # comes from the list; only records with a malformed code pay
+        # for this second pass
+        counters["malformed"] += [caches.codes[raw] for raw in pacs].count(None)
         codes = codes - {None}
-        if known is not None:
-            counters["unknown"] += sum(code is not None and code.text not in known for code in listed)
     codes = caches.code_sets.setdefault(codes, codes)
 
     return PaperRecord(doi, names, year, codes), targets
@@ -400,9 +390,8 @@ def _read_records(
     papers: dict[str, PaperRecord] = {}
     refs: list[tuple[str, ...]] = []
     rejected: list[tuple[int, str]] = []
-    counters = {"malformed": 0, "unknown": 0, "duplicate_authors": 0}
+    counters = {"malformed": 0, "duplicate_authors": 0}
     caches = _Caches()
-    known = cfg.known_codes
     # the C scanner behind json.loads, called without its per-call wrapper;
     # _loads decodes again whatever it does not accept, for the reject reason
     scan = make_scanner(json.JSONDecoder(parse_int=_json_int))
@@ -431,7 +420,7 @@ def _read_records(
                     # common line, never pays for counting brackets
                     _check_depth(line, lineno)
                 try:
-                    record, targets = _parse_record(obj, lineno, caches, known, counters)
+                    record, targets = _parse_record(obj, lineno, caches, counters)
                 except FormatError:
                     # too deep outranks every other reason, as when decoding fails
                     _check_depth(line, lineno)
@@ -486,7 +475,6 @@ def _build_corpus(
         records_accepted=len(papers),
         lines_rejected=len(rejected),
         malformed_pacs_dropped=counters["malformed"],
-        unknown_codes=counters["unknown"],
         dangling_refs=dangling,
         negative_age_citations_skipped=negative_age,
         duplicate_authors_collapsed=counters["duplicate_authors"],
@@ -527,7 +515,7 @@ def _distributions(
     unions = corpus.author_unions(period).values()
     papers = (record.pacs for record in corpus.papers_in(period))
     return tuple(
-        diversity_histogram((measure(codes) for codes in sets if codes or include_zero_pacs), normalize=True)
+        diversity_histogram(measure(codes) for codes in sets if codes or include_zero_pacs)
         for sets in (unions, papers)
     )
 

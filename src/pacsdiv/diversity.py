@@ -55,17 +55,12 @@ def weitzman_diversity(codes: Iterable[PacsCode]) -> int:
     return len({f // 10 for f in fields}) + len(fields) + n - 3
 
 
-def diversity_histogram(
-    values: Iterable[int], normalize: bool = False
-) -> dict[int, int] | dict[int, float]:
-    """Integer-keyed histogram of diversity values.
+def diversity_histogram(values: Iterable[int]) -> dict[int, float]:
+    """Integer-keyed histogram of values as fractions of the total.
 
-    With ``normalize`` the counts become fractions of the total (the
-    empty input stays an empty table).
+    The empty input gives an empty table.
     """
     counts = Counter(values)
-    if not normalize:
-        return dict(counts)
     total = sum(counts.values())
     return {k: c / total for k, c in counts.items()}
 

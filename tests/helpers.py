@@ -303,7 +303,7 @@ def _raw_accepted(path):
     return accepted, rejected
 
 
-def raw_ingest_recount(path, known_codes=None):
+def raw_ingest_recount(path):
     """What a lenient load should find, recounted from the raw bytes.
 
     Bypasses the loader and recounts from the accepted records of
@@ -319,7 +319,7 @@ def raw_ingest_recount(path, known_codes=None):
         year[obj["doi"]] = int(obj["date"][:4])
     by_author = {}
     citations = {}
-    malformed = unknown = dangling = negative = repeated_authors = 0
+    malformed = dangling = negative = repeated_authors = 0
     for obj in accepted:
         doi = obj["doi"]
         for raw in obj["authors"]:
@@ -329,11 +329,8 @@ def raw_ingest_recount(path, known_codes=None):
             else:
                 dois.append(doi)
         for raw in obj["pacs"]:
-            match = _RAW_PACS.match(raw.strip())
-            if match is None:
+            if _RAW_PACS.match(raw.strip()) is None:
                 malformed += 1
-            elif known_codes is not None and match.group() not in known_codes:
-                unknown += 1
         for target in obj["refs"]:
             if target not in year:
                 dangling += 1
@@ -349,7 +346,6 @@ def raw_ingest_recount(path, known_codes=None):
         "records_accepted": len(accepted),
         "lines_rejected": len(rejected),
         "malformed_pacs_dropped": malformed,
-        "unknown_codes": unknown,
         "dangling_refs": dangling,
         "negative_age_citations_skipped": negative,
         "duplicate_authors_collapsed": repeated_authors,

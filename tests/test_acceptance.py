@@ -18,7 +18,6 @@ from pathlib import Path
 import pytest
 
 from pacsdiv import (
-    DEFAULT_GROUP_SCHEME,
     IngestConfig,
     YearRange,
     assign_group,
@@ -27,6 +26,7 @@ from pacsdiv import (
     corpus_summary,
     diversity_share_table,
     group_fraction_table,
+    group_scheme_from_spec,
     load_corpus,
     papers_with_pacs_fraction_by_year,
     parse_pacs,
@@ -48,6 +48,7 @@ from helpers import (
 )
 
 REAL_DATA_ENV = "PACSDIV_APS_DATA"
+GROUPS = group_scheme_from_spec("0-3,4-9,10-27,28+")
 
 # sha256 of each synthetic corpus the criteria run on, by (n_records, seed):
 # a faster generator must write the same bytes
@@ -174,17 +175,16 @@ def test_criterion_conservation(fixture_corpus, tmp_path):
     ]
     checks = 0
     for corpus, windows, cohorts in cases:
-        scheme = DEFAULT_GROUP_SCHEME
-        for matrix in transition_flows(corpus, windows):
-            from_counts = _window_group_counts(corpus, matrix.from_window, scheme)
-            to_counts = _window_group_counts(corpus, matrix.to_window, scheme)
-            for label in scheme.labels:
+        for matrix in transition_flows(corpus, windows, GROUPS):
+            from_counts = _window_group_counts(corpus, matrix.from_window, GROUPS)
+            to_counts = _window_group_counts(corpus, matrix.to_window, GROUPS)
+            for label in GROUPS.labels:
                 row = sum(matrix.flow[label].values()) + matrix.leavers[label]
-                col = sum(matrix.flow[fl][label] for fl in scheme.labels) + matrix.entrants[label]
+                col = sum(matrix.flow[fl][label] for fl in GROUPS.labels) + matrix.entrants[label]
                 assert row == from_counts[label]
                 assert col == to_counts[label]
                 checks += 2
-        for fractions in group_fraction_table(corpus, windows).values():
+        for fractions in group_fraction_table(corpus, windows, GROUPS).values():
             assert abs(sum(fractions.values()) - 1.0) <= 1e-9
             checks += 1
         for column in diversity_share_table(corpus, cohorts).values():
@@ -246,7 +246,7 @@ def test_criterion_real_dataset():
         "2005-2010": (0.16, 0.36, 0.35, 0.13),
     }
     table = group_fraction_table(
-        corpus, parse_year_ranges("1985-90,1990-95,1995-00,2000-05,2005-10")
+        corpus, parse_year_ranges("1985-90,1990-95,1995-00,2000-05,2005-10"), GROUPS
     )
     for window, expected in expected_groups.items():
         for label, value in zip(("G1", "G2", "G3", "G4"), expected):

@@ -282,6 +282,46 @@ def test_empty_cohort_exit_code(command, cohorts, fixture_path, tmp_path, capsys
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "command, flag, ranges, label",
+    [
+        ("groups", "--windows", "1990-95,1990-95,1995-00", "windows lists 1990-1995"),
+        ("flows", "--windows", "1990-95,1990-95,1995-00", "windows lists 1990-1995"),
+        ("diversity-citations", "--cohorts", "1990-1997,1990-1997", "cohorts lists 1990-1997"),
+        ("citation-dist", "--cohorts", "1990-1997,1990-1997", "cohorts lists 1990-1997"),
+        ("share", "--cohorts", "1990-97,1997-04,1990-1997", "cohorts lists 1990-1997"),
+    ],
+    ids=["groups", "flows", "diversity-citations", "citation-dist", "share"],
+)
+def test_repeated_range_exit_code(command, flag, ranges, label, fixture_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    assert run_cli(command, fixture_path, out, flag, ranges) == 2
+    assert capsys.readouterr().err == f"pacsdiv {command}: error: {label} more than once\n"
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_horizon_above_9999_rejected_before_load(source, tmp_path, capsys):
+    # the input does not exist: exit 2, not 3, shows nothing was loaded
+    args = ["citation-age", "--input", str(tmp_path / "missing.jsonl"), "--out-dir", str(tmp_path)]
+    if source == "flag":
+        args += ["--horizon", "10000"]
+    else:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"horizon": 10000}))
+        args += ["--config", str(config)]
+    assert main(args) == 2
+    assert capsys.readouterr().err == "pacsdiv citation-age: error: horizon must be <= 9999, got 10000\n"
+
+
+def test_horizon_9999_accepted(fixture_path, tmp_path, capsys):
+    assert run_cli("citation-age", fixture_path, tmp_path, "--horizon", "9999") == 0
+    rows = (tmp_path / "citation-age.csv").read_text().splitlines()
+    assert len(rows) == 1 + 10000
+    assert rows[-1].startswith("9999,")
+
+
 def test_overlapping_windows_exit_code(fixture_path, tmp_path, capsys):
     code = main(
         [

@@ -2,7 +2,6 @@ import pytest
 
 from pacsdiv import (
     CITATION_KEY_SCHEME,
-    DEFAULT_GROUP_SCHEME,
     SHARE_KEY_SCHEME,
     ConfigError,
     DiversityGroupScheme,
@@ -28,18 +27,19 @@ from helpers import messy_corpus, raw_author_unions
 
 W1, W2, W3 = YearRange(1990, 1995), YearRange(1995, 2000), YearRange(2000, 2005)
 COHORT1, COHORT2 = YearRange(1990, 1997), YearRange(1997, 2004)
+GROUPS = group_scheme_from_spec("0-3,4-9,10-27,28+")
 BANDS = band_scheme_from_spec("0-2,3-5,6+")
 
 
 def test_assign_group_defaults():
-    assert assign_group(0, DEFAULT_GROUP_SCHEME) == "G1"
-    assert assign_group(3, DEFAULT_GROUP_SCHEME) == "G1"
-    assert assign_group(4, DEFAULT_GROUP_SCHEME) == "G2"
-    assert assign_group(9, DEFAULT_GROUP_SCHEME) == "G2"
-    assert assign_group(10, DEFAULT_GROUP_SCHEME) == "G3"
-    assert assign_group(27, DEFAULT_GROUP_SCHEME) == "G3"
-    assert assign_group(28, DEFAULT_GROUP_SCHEME) == "G4"
-    assert assign_group(1000, DEFAULT_GROUP_SCHEME) == "G4"
+    assert assign_group(0, GROUPS) == "G1"
+    assert assign_group(3, GROUPS) == "G1"
+    assert assign_group(4, GROUPS) == "G2"
+    assert assign_group(9, GROUPS) == "G2"
+    assert assign_group(10, GROUPS) == "G3"
+    assert assign_group(27, GROUPS) == "G3"
+    assert assign_group(28, GROUPS) == "G4"
+    assert assign_group(1000, GROUPS) == "G4"
 
 
 def test_assign_band_defaults():
@@ -52,7 +52,7 @@ def test_assign_band_defaults():
 
 def test_assign_group_rejects_negative():
     with pytest.raises(ValueError):
-        assign_group(-1, DEFAULT_GROUP_SCHEME)
+        assign_group(-1, GROUPS)
 
 
 def test_scheme_parsing():
@@ -64,7 +64,7 @@ def test_scheme_parsing():
 
 
 def test_integer_key_scheme():
-    scheme = integer_key_scheme(8, "8+")
+    scheme = integer_key_scheme("8+")
     assert scheme.labels == ("0", "1", "2", "3", "4", "5", "6", "7", "8", "8+")
     assert assign_group(8, scheme) == "8"
     assert assign_group(9, scheme) == "8+"
@@ -97,7 +97,7 @@ def test_bad_interval_spec():
 
 
 def test_group_fractions_fixture(fixture_corpus):
-    table = group_fraction_table(fixture_corpus, [W1, W2, W3])
+    table = group_fraction_table(fixture_corpus, [W1, W2, W3], GROUPS)
     assert table["1990-1995"] == {"G1": 0.5, "G2": 0.5, "G3": 0.0, "G4": 0.0}
     assert table["1995-2000"] == {"G1": 0.75, "G2": 0.0, "G3": 0.25, "G4": 0.0}
     assert table["2000-2005"] == pytest.approx(
@@ -106,31 +106,31 @@ def test_group_fractions_fixture(fixture_corpus):
 
 
 def test_group_fractions_sum_to_one(fixture_corpus):
-    table = group_fraction_table(fixture_corpus, [W1, W2, W3])
+    table = group_fraction_table(fixture_corpus, [W1, W2, W3], GROUPS)
     for fractions in table.values():
         assert sum(fractions.values()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_group_fractions_cumulative_mode(fixture_corpus):
-    table = group_fraction_table(fixture_corpus, [W1, W2, W3], mode="cumulative")
+    table = group_fraction_table(fixture_corpus, [W1, W2, W3], GROUPS, mode="cumulative")
     # 1995-2000 actives with all codes since 1990: alice G1, bob G2,
     # carol G3, david G2, erin G3
     assert table["1995-2000"] == {"G1": 0.2, "G2": 0.4, "G3": 0.4, "G4": 0.0}
 
 
 def test_group_fractions_include_zero_pacs(fixture_corpus):
-    table = group_fraction_table(fixture_corpus, [W2], include_zero_pacs=True)
+    table = group_fraction_table(fixture_corpus, [W2], GROUPS, include_zero_pacs=True)
     # alice's only 1995-2000 paper has no codes; the flag admits her at 0
     assert table["1995-2000"] == {"G1": 0.8, "G2": 0.0, "G3": 0.2, "G4": 0.0}
 
 
 def test_empty_window_omitted(fixture_corpus):
-    table = group_fraction_table(fixture_corpus, [YearRange(1950, 1960), W1])
+    table = group_fraction_table(fixture_corpus, [YearRange(1950, 1960), W1], GROUPS)
     assert list(table) == ["1990-1995"]
 
 
 def test_flows_fixture(fixture_corpus):
-    first, second = transition_flows(fixture_corpus, [W1, W2, W3])
+    first, second = transition_flows(fixture_corpus, [W1, W2, W3], GROUPS)
 
     assert first.flow["G1"]["G1"] == 1  # bob
     assert first.flow["G2"]["G1"] == 2  # carol, david
@@ -148,7 +148,7 @@ def test_flows_fixture(fixture_corpus):
 
 def test_flow_conservation(fixture_corpus):
     windows = [W1, W2, W3]
-    matrices = transition_flows(fixture_corpus, windows)
+    matrices = transition_flows(fixture_corpus, windows, GROUPS)
     counts = {}
     for matrix in matrices:
         for label in matrix.labels:
@@ -185,14 +185,14 @@ def test_author_unions_match_raw_recount(tmp_path, seed):
 
 def test_flows_need_two_windows(fixture_corpus):
     with pytest.raises(ConfigError):
-        transition_flows(fixture_corpus, [W1])
+        transition_flows(fixture_corpus, [W1], GROUPS)
 
 
 def test_flows_reject_overlapping_windows(fixture_corpus):
     with pytest.raises(OverlappingWindows):
-        transition_flows(fixture_corpus, [W1, YearRange(1993, 1998)])
+        transition_flows(fixture_corpus, [W1, YearRange(1993, 1998)], GROUPS)
     with pytest.raises(OverlappingWindows):
-        transition_flows(fixture_corpus, [W2, W1])
+        transition_flows(fixture_corpus, [W2, W1], GROUPS)
 
 
 def test_citations_by_age_two_citation_example(corpus_file):
@@ -303,6 +303,12 @@ def test_share_table_hand_example(corpus_file):
 def test_share_table_rejects_empty_cohort(fixture_corpus):
     with pytest.raises(EmptyCohort, match="no diversity-keyed papers in 1950-1960"):
         diversity_share_table(fixture_corpus, [COHORT1, YearRange(1950, 1960)])
+
+
+@pytest.mark.parametrize("table", [citations_by_diversity, citation_distribution_by_diversity])
+def test_citation_tables_reject_empty_cohort(table, fixture_corpus):
+    with pytest.raises(EmptyCohort, match="no diversity-keyed papers in 1950-1960"):
+        table(fixture_corpus, YearRange(1950, 1960), horizon=5)
 
 
 def test_citation_distribution_fixture(fixture_corpus):

@@ -148,12 +148,11 @@ def test_bad_field_rejects_line_without_counting_its_codes(corpus_file):
     bad = paper("b", 1991, ["y", "Y"], ["junk", "07.05.Fb"], refs=["a"], date="1991-02-30")
     corpus = load_corpus(
         corpus_file([paper("a", 1990, ["x"], ["04.25.dg"]), bad]),
-        IngestConfig(strict=False, known_codes=frozenset(["04.25"])),
+        IngestConfig(strict=False),
     )
     stats = corpus.ingest_stats
     assert stats.rejected_lines == ((2, "bad date '1991-02-30'"),)
     assert stats.malformed_pacs_dropped == 0
-    assert stats.unknown_codes == 0
     assert stats.duplicate_authors_collapsed == 0
     assert corpus.citations_in == {}
 
@@ -425,11 +424,10 @@ def test_equal_author_names_share_one_string(corpus_file):
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-@pytest.mark.parametrize("known", [None, frozenset(["04.25", "11.15"])])
-def test_lenient_load_matches_raw_recount(tmp_path, seed, known):
+def test_lenient_load_matches_raw_recount(tmp_path, seed):
     path = messy_corpus(tmp_path / "messy.jsonl", 300, seed)
-    corpus = load_corpus(path, IngestConfig(strict=False, known_codes=known))
-    expected = raw_ingest_recount(path, known)
+    corpus = load_corpus(path, IngestConfig(strict=False))
+    expected = raw_ingest_recount(path)
     stats = corpus.ingest_stats
     assert stats.as_dict() == {name: expected[name] for name in stats.as_dict()}
     assert [lineno for lineno, _ in stats.rejected_lines] == expected["rejected_linenos"]
@@ -544,16 +542,6 @@ def test_malformed_codes_dropped_not_fatal(corpus_file):
     corpus = load_corpus(corpus_file([paper("a", 1990, ["x"], ["04.25.dg", "junk", "9x.55"])]))
     assert {c.text for c in corpus.papers["a"].pacs} == {"04.25"}
     assert corpus.ingest_stats.malformed_pacs_dropped == 2
-
-
-def test_known_codes_counter(corpus_file):
-    # codes outside the known set are counted, not dropped
-    corpus = load_corpus(
-        corpus_file([paper("a", 1990, ["x"], ["04.25.dg", "07.05.Fb"])]),
-        IngestConfig(known_codes=frozenset(["04.25"])),
-    )
-    assert {c.text for c in corpus.papers["a"].pacs} == {"04.25", "07.05"}
-    assert corpus.ingest_stats.unknown_codes == 1
 
 
 def test_year_span(fixture_corpus):

@@ -137,9 +137,7 @@ def test_minimal_within_one_subfield():
 
 
 def test_histogram_counts_and_normalizes():
-    assert diversity_histogram([0, 3, 3, 7]) == {0: 1, 3: 2, 7: 1}
-    normalized = diversity_histogram([0, 3, 3, 7], normalize=True)
-    assert normalized == {0: 0.25, 3: 0.5, 7: 0.25}
+    assert diversity_histogram([0, 3, 3, 7]) == {0: 0.25, 3: 0.5, 7: 0.25}
     assert diversity_histogram([]) == {}
 
 

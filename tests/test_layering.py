@@ -1,13 +1,16 @@
 """The code-set layer imports nothing from the layers built on it, the
 package exports no test-only code, every private name it defines is
-used, and every public name has a reader in the package."""
+used, every public name has a reader in the package and every config
+field has a setter."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 import pacsdiv
+from pacsdiv.cli import RunConfig
 
 PACKAGE = Path(pacsdiv.__file__).parent
 UPPER_LAYERS = {"corpus", "cohorts", "cli"}
@@ -111,3 +114,21 @@ def test_no_public_name_without_a_reader():
     assert methods, "found no public methods at all"
     public = sorted(pacsdiv.__all__) + methods
     assert [name for name in public if name.rpartition(".")[2] not in used] == []
+
+
+def _call_name(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+@pytest.mark.parametrize("config", [pacsdiv.IngestConfig, RunConfig], ids=lambda cls: cls.__name__)
+def test_no_config_field_without_a_setter(config):
+    # set means passed by keyword to the class itself or to dataclasses.replace
+    passed = {
+        keyword.arg
+        for tree in _package_trees().values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _call_name(node) in (config.__name__, "replace")
+        for keyword in node.keywords
+    }
+    assert [field.name for field in dataclasses.fields(config) if field.name not in passed] == []
