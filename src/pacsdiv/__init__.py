@@ -9,10 +9,8 @@ length of the tree the set spans.
 """
 
 from .cohorts import (
-    AUTHOR_MODES,
     CITATION_KEY_SCHEME,
     SHARE_KEY_SCHEME,
-    CitationSeries,
     DiversityGroupScheme,
     FlowMatrix,
     SeriesEntry,
@@ -59,10 +57,8 @@ from .years import YearRange, parse_year_range, parse_year_ranges
 __version__ = "0.1.0"
 
 __all__ = [
-    "AUTHOR_MODES",
     "AuthorId",
     "CITATION_KEY_SCHEME",
-    "CitationSeries",
     "ConfigError",
     "Corpus",
     "DiversityGroupScheme",

@@ -60,6 +60,7 @@ from .years import YearRange, parse_year_range, parse_year_ranges
 
 OUT_DIR_ENV = "PACSDIV_OUT_DIR"
 FORMATS = ("csv", "json")
+AUTHOR_MODES = ("windowed", "cumulative")
 # dates are four-digit years, so no citation age exceeds 9998: a longer
 # horizon would only add rows of zeros
 MAX_HORIZON = 9999
@@ -207,7 +208,9 @@ def build_pacs_coverage(corpus: Corpus, cfg: RunConfig) -> Table:
 def _distribution_table(
     corpus: Corpus, cfg: RunConfig, distributions: Callable[..., tuple[dict, dict]], value_column: str
 ) -> Table:
-    authors, papers = distributions(corpus, _period_with_papers(corpus, cfg), cfg.include_zero_pacs)
+    authors, papers = distributions(
+        corpus, _period_with_papers(corpus, cfg), include_zero_pacs=cfg.include_zero_pacs
+    )
     rows = [("author", v, f) for v, f in sorted(authors.items())]
     rows += [("paper", v, f) for v, f in sorted(papers.items())]
     return Table(("entity", value_column, "fraction"), tuple(rows))
@@ -226,7 +229,11 @@ def build_diversity_dist(corpus: Corpus, cfg: RunConfig) -> Table:
 def build_groups(corpus: Corpus, cfg: RunConfig) -> Table:
     """fraction of authors per diversity group, per window"""
     table = co.group_fraction_table(
-        corpus, cfg.windows, cfg.groups, cfg.author_mode, cfg.include_zero_pacs
+        corpus,
+        cfg.windows,
+        cfg.groups,
+        cumulative=cfg.author_mode == "cumulative",
+        include_zero_pacs=cfg.include_zero_pacs,
     )
     rows = tuple(
         (window,) + tuple(fractions[label] for label in cfg.groups.labels)
@@ -238,7 +245,11 @@ def build_groups(corpus: Corpus, cfg: RunConfig) -> Table:
 def build_flows(corpus: Corpus, cfg: RunConfig) -> Table:
     """author transition flows between groups across windows"""
     matrices = co.transition_flows(
-        corpus, cfg.windows, cfg.groups, cfg.author_mode, cfg.include_zero_pacs
+        corpus,
+        cfg.windows,
+        cfg.groups,
+        cumulative=cfg.author_mode == "cumulative",
+        include_zero_pacs=cfg.include_zero_pacs,
     )
     rows: list[tuple] = []
     for m in matrices:
@@ -254,29 +265,16 @@ def build_flows(corpus: Corpus, cfg: RunConfig) -> Table:
     return Table(columns, tuple(rows))
 
 
-def _series_rows(label_prefix: tuple, series: co.CitationSeries) -> list[tuple]:
-    rows = []
-    for key, entry in series.per_key.items():
-        for age in range(series.horizon + 1):
-            rows.append(
-                label_prefix
-                + (
-                    key,
-                    age,
-                    entry.paper_count,
-                    entry.citations_per_age[age],
-                    entry.mean_per_age[age],
-                    entry.cumulative_mean[age],
-                )
-            )
-    return rows
+def _series_rows(label_prefix: tuple, entry: co.SeriesEntry) -> list[tuple]:
+    """One row per age 0..horizon: papers, citations, mean and cumulative mean."""
+    values = zip(entry.citations_per_age, entry.mean_per_age, entry.cumulative_mean)
+    return [label_prefix + (age, entry.paper_count, *v) for age, v in enumerate(values)]
 
 
 def build_citation_age(corpus: Corpus, cfg: RunConfig) -> Table:
     """average citations per paper at each age"""
-    series = co.citations_by_age(corpus, _period_with_papers(corpus, cfg), cfg.horizon)
-    # one key, "all": drop the key column
-    rows = tuple(row[1:] for row in _series_rows((), series))
+    entry = co.citations_by_age(corpus, _period_with_papers(corpus, cfg), cfg.horizon)
+    rows = tuple(_series_rows((), entry))
     return Table(("age", "papers", "citations", "mean_citations", "cumulative_mean"), rows)
 
 
@@ -285,10 +283,11 @@ def build_diversity_citations(corpus: Corpus, cfg: RunConfig) -> Table:
     rows: list[tuple] = []
     for cohort in cfg.cohorts:
         for keying_name, scheme in (("integer", co.CITATION_KEY_SCHEME), ("band", cfg.bands)):
-            series = co.citations_by_diversity(
-                corpus, cohort, cfg.horizon, scheme, cfg.include_zero_pacs
+            per_key = co.citations_by_diversity(
+                corpus, cohort, cfg.horizon, scheme, include_zero_pacs=cfg.include_zero_pacs
             )
-            rows += _series_rows((cohort.label, keying_name), series)
+            for key, entry in per_key.items():
+                rows += _series_rows((cohort.label, keying_name, key), entry)
     columns = ("cohort", "keying", "key", "age", "papers", "citations", "mean_citations", "cumulative_mean")
     return Table(columns, tuple(rows))
 
@@ -298,7 +297,7 @@ def build_citation_dist(corpus: Corpus, cfg: RunConfig) -> Table:
     rows: list[tuple] = []
     for cohort in cfg.cohorts:
         dists = co.citation_distribution_by_diversity(
-            corpus, cohort, cfg.horizon, cfg.include_zero_pacs
+            corpus, cohort, cfg.horizon, include_zero_pacs=cfg.include_zero_pacs
         )
         for key, hist in dists.items():
             for citations in sorted(hist):
@@ -308,7 +307,7 @@ def build_citation_dist(corpus: Corpus, cfg: RunConfig) -> Table:
 
 def build_share(corpus: Corpus, cfg: RunConfig) -> Table:
     """percentage of papers per diversity value, per cohort"""
-    table = co.diversity_share_table(corpus, cfg.cohorts, cfg.include_zero_pacs)
+    table = co.diversity_share_table(corpus, cfg.cohorts, include_zero_pacs=cfg.include_zero_pacs)
     cohort_labels = list(table.keys())
     rows = tuple(
         (key,) + tuple(table[cohort][key] for cohort in cohort_labels)
@@ -389,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--author-mode",
         dest="author_mode",
-        choices=co.AUTHOR_MODES,
+        choices=AUTHOR_MODES,
         help="author diversity from window-only codes or cumulative-to-window codes",
     )
     common.add_argument(
@@ -457,8 +456,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("no input file given (--input or config)")
     if settings["format"] not in FORMATS:
         raise ConfigError(f"format must be {' or '.join(FORMATS)}, got {settings['format']!r}")
-    if settings["author_mode"] not in co.AUTHOR_MODES:
-        raise ConfigError(f"author-mode must be one of {co.AUTHOR_MODES}")
+    if settings["author_mode"] not in AUTHOR_MODES:
+        raise ConfigError(f"author-mode must be one of {AUTHOR_MODES}")
     horizon = settings["horizon"]
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
@@ -472,7 +471,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         format=settings["format"],
         windows=_distinct_ranges(settings, "windows"),
         cohorts=_distinct_ranges(settings, "cohorts"),
-        period=parse_year_range(period) if period else None,
+        period=None if period is None else parse_year_range(period),
         horizon=horizon,
         groups=co.group_scheme_from_spec(settings["groups"]),
         bands=co.band_scheme_from_spec(settings["bands"]),

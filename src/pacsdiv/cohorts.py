@@ -7,10 +7,12 @@ conservation). Papers are grouped by their diversity and followed for a
 fixed citation horizon, yielding per-age and cumulative citation
 averages plus citation-count distributions.
 
-Group membership defaults to WINDOWED author diversity -- the union of
-codes within that window only. A cumulative mode (codes from the start
-of the corpus through the window's end) is available; cumulative unions
-only grow, so they can never flow toward lower groups.
+Every table takes its settings explicitly; the library holds no
+default of its own. Group membership rests on WINDOWED author diversity
+-- the union of codes within that window only -- unless ``cumulative``
+is set, which takes codes from the start of the corpus through the
+window's end. Cumulative unions only grow, so they can never flow
+toward lower groups.
 
 Papers without any PACS code are excluded from diversity-keyed tables
 unless ``include_zero_pacs`` is set, which admits them as diversity 0.
@@ -26,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .corpus import AuthorId, Corpus, PaperRecord
 from .diversity import compute_diversities, weitzman_diversity
-from .errors import ConfigError, EmptyCohort, OverlappingWindows
+from .errors import ConfigError, EmptyCohort, EmptyPeriod, OverlappingWindows
 from .taxonomy import PacsCode
 from .years import YearRange
 
@@ -42,15 +44,11 @@ __all__ = [
     "group_fraction_table",
     "transition_flows",
     "SeriesEntry",
-    "CitationSeries",
     "citations_by_age",
     "citations_by_diversity",
     "diversity_share_table",
     "citation_distribution_by_diversity",
 ]
-
-AUTHOR_MODES = ("windowed", "cumulative")
-
 
 @dataclass(frozen=True, slots=True)
 class DiversityGroupScheme:
@@ -150,17 +148,15 @@ SHARE_KEY_SCHEME = integer_key_scheme("9+")
 
 
 def _active_author_unions(
-    corpus: Corpus, window: YearRange, mode: str = "windowed"
+    corpus: Corpus, window: YearRange, cumulative: bool
 ) -> dict[AuthorId, set[PacsCode]]:
     """Union of codes per author active in the window (>= 1 paper).
 
-    Windowed mode restricts the union to window papers; cumulative mode
-    widens it to everything from the corpus start through window.end.
+    The union holds the window's papers' codes; ``cumulative`` widens it
+    to everything from the corpus start through window.end.
     """
-    if mode not in AUTHOR_MODES:
-        raise ConfigError(f"author mode must be one of {AUTHOR_MODES}, got {mode!r}")
     unions = corpus.author_unions(window)
-    if mode == "cumulative" and unions:
+    if cumulative and unions:
         for record in corpus.papers.values():
             if record.pub_year < window.start:
                 for author in record.authors:
@@ -173,11 +169,11 @@ def _author_groups(
     corpus: Corpus,
     window: YearRange,
     scheme: DiversityGroupScheme,
-    mode: str,
+    cumulative: bool,
     include_zero_pacs: bool,
 ) -> dict[AuthorId, str]:
     groups: dict[AuthorId, str] = {}
-    for author, union in _active_author_unions(corpus, window, mode).items():
+    for author, union in _active_author_unions(corpus, window, cumulative).items():
         if not union and not include_zero_pacs:
             continue
         groups[author] = assign_group(weitzman_diversity(union), scheme)
@@ -188,17 +184,21 @@ def group_fraction_table(
     corpus: Corpus,
     windows: Sequence[YearRange],
     scheme: DiversityGroupScheme,
-    mode: str = "windowed",
-    include_zero_pacs: bool = False,
+    *,
+    cumulative: bool,
+    include_zero_pacs: bool,
 ) -> dict[str, dict[str, float]]:
     """Fraction of active authors per diversity group, per window.
 
     Rows are keyed by window label and sum to 1 over the scheme's
     groups. Windows without any groupable author are omitted.
+    ``cumulative`` groups authors by their codes from the corpus start
+    through the window's end; ``include_zero_pacs`` admits authors
+    without codes as diversity 0.
     """
     table: dict[str, dict[str, float]] = {}
     for window in windows:
-        groups = _author_groups(corpus, window, scheme, mode, include_zero_pacs)
+        groups = _author_groups(corpus, window, scheme, cumulative, include_zero_pacs)
         if not groups:
             continue
         counts = {label: 0 for label in scheme.labels}
@@ -231,10 +231,14 @@ def transition_flows(
     corpus: Corpus,
     windows: Sequence[YearRange],
     scheme: DiversityGroupScheme,
-    mode: str = "windowed",
-    include_zero_pacs: bool = False,
+    *,
+    cumulative: bool,
+    include_zero_pacs: bool,
 ) -> list[FlowMatrix]:
     """One FlowMatrix per adjacent pair of chronological windows.
+
+    Authors are grouped per window as in ``group_fraction_table``, with
+    the same two flags.
 
     Raises
     ------
@@ -250,7 +254,7 @@ def transition_flows(
             )
 
     per_window = [
-        _author_groups(corpus, w, scheme, mode, include_zero_pacs) for w in windows
+        _author_groups(corpus, w, scheme, cumulative, include_zero_pacs) for w in windows
     ]
     matrices: list[FlowMatrix] = []
     for i in range(len(windows) - 1):
@@ -290,15 +294,6 @@ class SeriesEntry:
     cumulative_mean: tuple[float, ...]
 
 
-@dataclass(frozen=True, slots=True)
-class CitationSeries:
-    """Per-key citation trajectories for one cohort."""
-
-    cohort: YearRange
-    horizon: int
-    per_key: Mapping[str, SeriesEntry]
-
-
 def _series_entry(paper_count: int, counts: list[int]) -> SeriesEntry:
     means = [c / paper_count for c in counts]
     cumulative: list[float] = []
@@ -323,21 +318,20 @@ def _age_counts(corpus: Corpus, records: Iterable[PaperRecord], horizon: int) ->
     return counts
 
 
-def citations_by_age(corpus: Corpus, cohort: YearRange, horizon: int) -> CitationSeries:
-    """Average in-corpus citations per paper at each age, whole cohort.
+def citations_by_age(corpus: Corpus, period: YearRange, horizon: int) -> SeriesEntry:
+    """Average in-corpus citations per paper at each age 0..horizon over a period.
 
     Raises
     ------
-    EmptyCohort
-        If no papers were published in the cohort.
+    EmptyPeriod
+        If no paper falls inside the period.
     """
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
-    records = list(corpus.papers_in(cohort))
+    records = list(corpus.papers_in(period))
     if not records:
-        raise EmptyCohort(f"no papers in {cohort.label}")
-    entry = _series_entry(len(records), _age_counts(corpus, records, horizon))
-    return CitationSeries(cohort=cohort, horizon=horizon, per_key={"all": entry})
+        raise EmptyPeriod(f"no papers in {period.label}")
+    return _series_entry(len(records), _age_counts(corpus, records, horizon))
 
 
 def _cohort_diversity_keys(
@@ -370,14 +364,17 @@ def citations_by_diversity(
     corpus: Corpus,
     cohort: YearRange,
     horizon: int,
-    keying: DiversityGroupScheme = CITATION_KEY_SCHEME,
-    include_zero_pacs: bool = False,
-) -> CitationSeries:
-    """Citation trajectories of cohort papers grouped by diversity.
+    keying: DiversityGroupScheme,
+    *,
+    include_zero_pacs: bool,
+) -> dict[str, SeriesEntry]:
+    """Citation trajectories over ages 0..horizon of cohort papers, per diversity key.
 
-    ``keying`` is either the per-integer scheme (keys "0".."8" plus the
-    pooled "8+") or a band scheme (low/medium/high). Keys without papers
-    are omitted; an average over zero papers is undefined.
+    ``keying`` is either the per-integer ``CITATION_KEY_SCHEME`` (keys
+    "0".."8" plus the pooled "8+") or a band scheme (low/medium/high).
+    Keys come in the scheme's order; keys without papers are omitted, as
+    an average over zero papers is undefined. ``include_zero_pacs``
+    admits papers without codes as diversity 0.
 
     Raises
     ------
@@ -388,22 +385,23 @@ def citations_by_diversity(
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
     by_key = _cohort_diversity_keys(corpus, cohort, keying, include_zero_pacs)
-    per_key = {
+    return {
         label: _series_entry(len(records), _age_counts(corpus, records, horizon))
         for label, records in by_key.items()
     }
-    return CitationSeries(cohort=cohort, horizon=horizon, per_key=per_key)
 
 
 def diversity_share_table(
     corpus: Corpus,
     cohorts: Sequence[YearRange],
-    include_zero_pacs: bool = False,
+    *,
+    include_zero_pacs: bool,
 ) -> dict[str, dict[str, float]]:
     """Percentage of cohort papers at each diversity 0..8, 9+ pooled.
 
     Keyed cohort label -> key label -> percentage; every key appears,
     zeros included, and each column sums to 100 up to rounding.
+    ``include_zero_pacs`` admits papers without codes as diversity 0.
 
     Raises
     ------
@@ -426,14 +424,16 @@ def citation_distribution_by_diversity(
     corpus: Corpus,
     cohort: YearRange,
     horizon: int,
-    include_zero_pacs: bool = False,
+    *,
+    include_zero_pacs: bool,
 ) -> dict[str, dict[int, float]]:
     """Distribution of citation counts per diversity key.
 
     For each key, the fraction of its papers that received exactly c
     in-corpus citations within ages 0..horizon, for c from 0 through the
     key's maximum observed count (interior zeros included). Each
-    histogram sums to 1.
+    histogram sums to 1. ``include_zero_pacs`` admits papers without
+    codes as diversity 0.
 
     Raises
     ------

@@ -520,7 +520,7 @@ def _distributions(
     )
 
 
-def pacs_count_distributions(corpus: Corpus, period: YearRange, include_zero_pacs: bool = False) -> _Histograms:
+def pacs_count_distributions(corpus: Corpus, period: YearRange, *, include_zero_pacs: bool) -> _Histograms:
     """Code-count distributions over a period: (per-author, per-paper).
 
     Per author the count is the size of the union of codes across the
@@ -532,7 +532,7 @@ def pacs_count_distributions(corpus: Corpus, period: YearRange, include_zero_pac
     return _distributions(corpus, period, len, include_zero_pacs)
 
 
-def diversity_distributions(corpus: Corpus, period: YearRange, include_zero_pacs: bool = False) -> _Histograms:
+def diversity_distributions(corpus: Corpus, period: YearRange, *, include_zero_pacs: bool) -> _Histograms:
     """Diversity distributions over a period: (per-author, per-paper).
 
     As ``pacs_count_distributions``, with the Weitzman diversity of each
@@ -546,7 +546,6 @@ def diversity_distributions(corpus: Corpus, period: YearRange, include_zero_pacs
 class SummaryStats:
     """Corpus-level averages over one period (whole-unit counting)."""
 
-    period: YearRange
     papers: int
     authors: int
     papers_per_author: float
@@ -594,7 +593,6 @@ def corpus_summary(corpus: Corpus, period: YearRange) -> SummaryStats:
     n_authors = len(unions)
     total_author_div = sum(weitzman_diversity(union) for union in unions.values())
     return SummaryStats(
-        period=period,
         papers=n_papers,
         authors=n_authors,
         papers_per_author=total_authors_listed / n_authors if n_authors else 0.0,

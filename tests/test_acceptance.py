@@ -49,6 +49,9 @@ from helpers import (
 
 REAL_DATA_ENV = "PACSDIV_APS_DATA"
 GROUPS = group_scheme_from_spec("0-3,4-9,10-27,28+")
+# the CLI's default windows and cohorts, which the paper's tables use
+REFERENCE_WINDOWS = "1985-90,1990-95,1995-00,2000-05,2005-10"
+REFERENCE_COHORTS = "1985-1994,1994-2003"
 
 # sha256 of each synthetic corpus the criteria run on, by (n_records, seed):
 # a faster generator must write the same bytes
@@ -175,7 +178,8 @@ def test_criterion_conservation(fixture_corpus, tmp_path):
     ]
     checks = 0
     for corpus, windows, cohorts in cases:
-        for matrix in transition_flows(corpus, windows, GROUPS):
+        flows = transition_flows(corpus, windows, GROUPS, cumulative=False, include_zero_pacs=False)
+        for matrix in flows:
             from_counts = _window_group_counts(corpus, matrix.from_window, GROUPS)
             to_counts = _window_group_counts(corpus, matrix.to_window, GROUPS)
             for label in GROUPS.labels:
@@ -184,19 +188,67 @@ def test_criterion_conservation(fixture_corpus, tmp_path):
                 assert row == from_counts[label]
                 assert col == to_counts[label]
                 checks += 2
-        for fractions in group_fraction_table(corpus, windows, GROUPS).values():
+        table = group_fraction_table(corpus, windows, GROUPS, cumulative=False, include_zero_pacs=False)
+        for fractions in table.values():
             assert abs(sum(fractions.values()) - 1.0) <= 1e-9
             checks += 1
-        for column in diversity_share_table(corpus, cohorts).values():
+        for column in diversity_share_table(corpus, cohorts, include_zero_pacs=False).values():
             assert abs(sum(column.values()) - 100.0) <= 0.1
             checks += 1
         span = corpus.year_span()
-        series = citations_by_age(corpus, span, horizon=span.end - span.start + 1)
-        total = sum(series.per_key["all"].citations_per_age)
+        entry = citations_by_age(corpus, span, horizon=span.end - span.start + 1)
+        total = sum(entry.citations_per_age)
         pairs = sum(len(v) for v in corpus.citations_in.values())
         assert total == pairs - corpus.ingest_stats.negative_age_citations_skipped
         checks += 1
     _report("conservation", f"{checks} exact identities over fixture + 2000-record corpus")
+
+
+def _cumulative_group_counts(corpus, window, scheme):
+    # independent recount: an author on a window paper is grouped by the
+    # codes of all their papers published before the window ends
+    active = {author for record in corpus.papers_in(window) for author in record.authors}
+    unions = {author: set() for author in active}
+    for record in corpus.papers.values():
+        if record.pub_year < window.end:
+            for author in active.intersection(record.authors):
+                unions[author].update(record.pacs)
+    counts = {label: 0 for label in scheme.labels}
+    for union in unions.values():
+        if union:
+            counts[assign_group(weitzman_diversity(union), scheme)] += 1
+    return counts
+
+
+def _moves(matrix):
+    """(downward, upward) author counts: flows toward a lower or a higher group."""
+    rank = {label: i for i, label in enumerate(matrix.labels)}
+    down = up = 0
+    for fl, row in matrix.flow.items():
+        for tl, count in row.items():
+            down += count if rank[tl] < rank[fl] else 0
+            up += count if rank[tl] > rank[fl] else 0
+    return down, up
+
+
+def test_cumulative_flows_never_move_down(fixture_corpus, tmp_path):
+    # cumulative unions only grow, so no author can move to a lower group;
+    # windowed mode on the same corpora does, so the check can fail
+    synth = load_corpus(_pinned_synth(tmp_path / "synth2k.jsonl", 2000, 6))
+    windows = parse_year_ranges(REFERENCE_WINDOWS)
+    for corpus in (fixture_corpus, synth):
+        cumulative = transition_flows(corpus, windows, GROUPS, cumulative=True, include_zero_pacs=False)
+        windowed = transition_flows(corpus, windows, GROUPS, cumulative=False, include_zero_pacs=False)
+        assert sum(_moves(m)[0] for m in cumulative) == 0
+        assert sum(_moves(m)[1] for m in cumulative) > 0
+        assert sum(_moves(m)[0] for m in windowed) > 0
+        for matrix in cumulative:
+            from_counts = _cumulative_group_counts(corpus, matrix.from_window, GROUPS)
+            to_counts = _cumulative_group_counts(corpus, matrix.to_window, GROUPS)
+            for label in GROUPS.labels:
+                row = sum(matrix.flow[label].values()) + matrix.leavers[label]
+                col = sum(matrix.flow[fl][label] for fl in GROUPS.labels) + matrix.entrants[label]
+                assert (row, col) == (from_counts[label], to_counts[label])
 
 
 def test_criterion_determinism(tmp_path):
@@ -226,14 +278,56 @@ def test_criterion_throughput(tmp_path):
     _report("throughput", f"400k records ingested + diversities in {elapsed:.1f} s")
 
 
+def _reference_values(corpus):
+    """The values the real-dataset criterion checks, under the CLI's default settings:
+    the full-span summary, group fractions per window, shares per cohort and coverage."""
+    stats = corpus_summary(corpus, corpus.year_span())
+    table = group_fraction_table(
+        corpus, parse_year_ranges(REFERENCE_WINDOWS), GROUPS, cumulative=False, include_zero_pacs=False
+    )
+    shares = diversity_share_table(corpus, parse_year_ranges(REFERENCE_COHORTS), include_zero_pacs=False)
+    return stats, table, shares, papers_with_pacs_fraction_by_year(corpus)
+
+
+def _csv_rows(path):
+    return [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()[1:]]
+
+
+def test_reference_values_match_cli_tables(tmp_path):
+    # keeps the gated real-dataset criterion runnable: its library calls
+    # must give what the CLI reports on the pinned 2000-record corpus
+    path = _pinned_synth(tmp_path / "synth2k.jsonl", 2000, 6)
+    stats, table, shares, coverage = _reference_values(load_corpus(path))
+    with contextlib.redirect_stdout(io.StringIO()):
+        for command in ("summary", "groups", "share", "pacs-coverage"):
+            assert main([command, "--input", str(path), "--out-dir", str(tmp_path)]) == 0
+    summary = dict(_csv_rows(tmp_path / "summary.csv"))
+    for name, value in [
+        ("paper_diversity_mean", stats.paper_diversity_mean),
+        ("author_diversity_mean", stats.author_diversity_mean),
+        ("citations_per_paper", stats.citations_per_paper),
+    ]:
+        assert float(summary[name]) == pytest.approx(value, abs=5e-7)
+    groups = {row[0]: [float(v) for v in row[1:]] for row in _csv_rows(tmp_path / "groups.csv")}
+    assert list(groups) == list(table) == [w.label for w in parse_year_ranges(REFERENCE_WINDOWS)]
+    for window, fractions in table.items():
+        assert groups[window] == pytest.approx([fractions[label] for label in GROUPS.labels], abs=5e-7)
+    share_rows = _csv_rows(tmp_path / "share.csv")
+    assert list(shares) == [c.label for c in parse_year_ranges(REFERENCE_COHORTS)]
+    for i, cohort in enumerate(shares):
+        assert {row[0]: float(row[i + 1]) for row in share_rows} == pytest.approx(shares[cohort], abs=5e-7)
+    assert {int(y): float(f) for y, f in _csv_rows(tmp_path / "pacs-coverage.csv")} == pytest.approx(
+        coverage, abs=5e-7
+    )
+
+
 def test_criterion_real_dataset():
     """Reference values for the complete APS corpus, when available."""
     path = os.environ.get(REAL_DATA_ENV)
     if not path:
         pytest.skip(f"real APS dataset not provided; set {REAL_DATA_ENV} to run")
-    corpus = load_corpus(Path(path), IngestConfig(strict=False))
+    stats, table, shares, coverage = _reference_values(load_corpus(Path(path), IngestConfig(strict=False)))
 
-    stats = corpus_summary(corpus, corpus.year_span())
     assert abs(stats.paper_diversity_mean - 3.59) <= 0.05
     assert abs(stats.author_diversity_mean - 13.16) <= 0.05
     assert abs(stats.citations_per_paper - 10.22) <= 0.05
@@ -245,9 +339,6 @@ def test_criterion_real_dataset():
         "2000-2005": (0.19, 0.37, 0.34, 0.09),
         "2005-2010": (0.16, 0.36, 0.35, 0.13),
     }
-    table = group_fraction_table(
-        corpus, parse_year_ranges("1985-90,1990-95,1995-00,2000-05,2005-10"), GROUPS
-    )
     for window, expected in expected_groups.items():
         for label, value in zip(("G1", "G2", "G3", "G4"), expected):
             assert abs(table[window][label] - value) <= 0.01
@@ -258,12 +349,10 @@ def test_criterion_real_dataset():
         "1994-2003": {"0": 9.7, "1": 9.0, "2": 13.6, "3": 19.0, "4": 16.3,
                       "5": 14.5, "6": 9.8, "7": 4.7, "8": 2.5, "9+": 0.9},
     }
-    shares = diversity_share_table(corpus, parse_year_ranges("1985-1994,1994-2003"))
     for cohort, expected in expected_share.items():
         for key, value in expected.items():
             assert abs(shares[cohort][key] - value) <= 0.5
 
-    coverage = papers_with_pacs_fraction_by_year(corpus)
     for year, fraction in coverage.items():
         if year >= 1985:
             assert fraction > 0.9

@@ -186,6 +186,18 @@ def test_config_file_null_period_is_full_span(fixture_path, tmp_path, capsys):
     assert meta["settings"]["lenient"] is True
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_empty_period_string_rejected(source, fixture_path, tmp_path, capsys):
+    # an empty --period is a bad year range, not a request for the full span
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"period": ""}))
+    extra = ["--period", ""] if source == "flag" else ["--config", str(config)]
+    out = tmp_path / "out"
+    assert main(["summary", "--input", str(fixture_path), "--out-dir", str(out), *extra]) == 2
+    assert capsys.readouterr().err == "pacsdiv summary: error: bad year range '': expected START-END\n"
+    assert not out.exists()
+
+
 def test_jobs_flag_removed(fixture_path, tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_info:
         run_cli("summary", fixture_path, tmp_path, "--jobs", "1")

@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 
 from pacsdiv import (
@@ -6,6 +8,7 @@ from pacsdiv import (
     ConfigError,
     DiversityGroupScheme,
     EmptyCohort,
+    EmptyPeriod,
     IngestConfig,
     OverlappingWindows,
     YearRange,
@@ -14,11 +17,13 @@ from pacsdiv import (
     citation_distribution_by_diversity,
     citations_by_age,
     citations_by_diversity,
+    diversity_distributions,
     diversity_share_table,
     group_fraction_table,
     group_scheme_from_spec,
     integer_key_scheme,
     load_corpus,
+    pacs_count_distributions,
     transition_flows,
 )
 from pacsdiv.cohorts import _active_author_unions
@@ -29,6 +34,8 @@ W1, W2, W3 = YearRange(1990, 1995), YearRange(1995, 2000), YearRange(2000, 2005)
 COHORT1, COHORT2 = YearRange(1990, 1997), YearRange(1997, 2004)
 GROUPS = group_scheme_from_spec("0-3,4-9,10-27,28+")
 BANDS = band_scheme_from_spec("0-2,3-5,6+")
+# the CLI's defaults, which every table now takes explicitly
+WINDOWED = {"cumulative": False, "include_zero_pacs": False}
 
 
 def test_assign_group_defaults():
@@ -97,7 +104,7 @@ def test_bad_interval_spec():
 
 
 def test_group_fractions_fixture(fixture_corpus):
-    table = group_fraction_table(fixture_corpus, [W1, W2, W3], GROUPS)
+    table = group_fraction_table(fixture_corpus, [W1, W2, W3], GROUPS, **WINDOWED)
     assert table["1990-1995"] == {"G1": 0.5, "G2": 0.5, "G3": 0.0, "G4": 0.0}
     assert table["1995-2000"] == {"G1": 0.75, "G2": 0.0, "G3": 0.25, "G4": 0.0}
     assert table["2000-2005"] == pytest.approx(
@@ -106,31 +113,35 @@ def test_group_fractions_fixture(fixture_corpus):
 
 
 def test_group_fractions_sum_to_one(fixture_corpus):
-    table = group_fraction_table(fixture_corpus, [W1, W2, W3], GROUPS)
+    table = group_fraction_table(fixture_corpus, [W1, W2, W3], GROUPS, **WINDOWED)
     for fractions in table.values():
         assert sum(fractions.values()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_group_fractions_cumulative_mode(fixture_corpus):
-    table = group_fraction_table(fixture_corpus, [W1, W2, W3], GROUPS, mode="cumulative")
+    table = group_fraction_table(
+        fixture_corpus, [W1, W2, W3], GROUPS, cumulative=True, include_zero_pacs=False
+    )
     # 1995-2000 actives with all codes since 1990: alice G1, bob G2,
     # carol G3, david G2, erin G3
     assert table["1995-2000"] == {"G1": 0.2, "G2": 0.4, "G3": 0.4, "G4": 0.0}
 
 
 def test_group_fractions_include_zero_pacs(fixture_corpus):
-    table = group_fraction_table(fixture_corpus, [W2], GROUPS, include_zero_pacs=True)
+    table = group_fraction_table(
+        fixture_corpus, [W2], GROUPS, cumulative=False, include_zero_pacs=True
+    )
     # alice's only 1995-2000 paper has no codes; the flag admits her at 0
     assert table["1995-2000"] == {"G1": 0.8, "G2": 0.0, "G3": 0.2, "G4": 0.0}
 
 
 def test_empty_window_omitted(fixture_corpus):
-    table = group_fraction_table(fixture_corpus, [YearRange(1950, 1960), W1], GROUPS)
+    table = group_fraction_table(fixture_corpus, [YearRange(1950, 1960), W1], GROUPS, **WINDOWED)
     assert list(table) == ["1990-1995"]
 
 
 def test_flows_fixture(fixture_corpus):
-    first, second = transition_flows(fixture_corpus, [W1, W2, W3], GROUPS)
+    first, second = transition_flows(fixture_corpus, [W1, W2, W3], GROUPS, **WINDOWED)
 
     assert first.flow["G1"]["G1"] == 1  # bob
     assert first.flow["G2"]["G1"] == 2  # carol, david
@@ -148,7 +159,7 @@ def test_flows_fixture(fixture_corpus):
 
 def test_flow_conservation(fixture_corpus):
     windows = [W1, W2, W3]
-    matrices = transition_flows(fixture_corpus, windows, GROUPS)
+    matrices = transition_flows(fixture_corpus, windows, GROUPS, **WINDOWED)
     counts = {}
     for matrix in matrices:
         for label in matrix.labels:
@@ -165,6 +176,30 @@ def test_flow_conservation(fixture_corpus):
     assert counts["2000-2005"] == {"G1": 1, "G2": 1, "G3": 1, "G4": 0}
 
 
+@pytest.mark.parametrize(
+    "table",
+    [
+        group_fraction_table,
+        transition_flows,
+        citations_by_diversity,
+        diversity_share_table,
+        citation_distribution_by_diversity,
+        pacs_count_distributions,
+        diversity_distributions,
+    ],
+)
+def test_table_flags_are_required_keywords(table):
+    # a flag passed by position, such as the truthy string "windowed",
+    # must fail instead of setting the flag
+    flags = [
+        parameter
+        for parameter in inspect.signature(table).parameters.values()
+        if parameter.name in ("cumulative", "include_zero_pacs")
+    ]
+    assert flags
+    assert all(p.kind is p.KEYWORD_ONLY and p.default is p.empty for p in flags)
+
+
 def _code_texts(unions):
     return [(name, {code.text for code in codes}) for name, codes in unions.items()]
 
@@ -178,21 +213,21 @@ def test_author_unions_match_raw_recount(tmp_path, seed):
         years = (window.start, window.end)
         windowed = list(raw_author_unions(path, years).items())
         assert _code_texts(corpus.author_unions(window)) == windowed
-        assert _code_texts(_active_author_unions(corpus, window, "windowed")) == windowed
+        assert _code_texts(_active_author_unions(corpus, window, False)) == windowed
         cumulative = list(raw_author_unions(path, years, cumulative=True).items())
-        assert _code_texts(_active_author_unions(corpus, window, "cumulative")) == cumulative
+        assert _code_texts(_active_author_unions(corpus, window, True)) == cumulative
 
 
 def test_flows_need_two_windows(fixture_corpus):
     with pytest.raises(ConfigError):
-        transition_flows(fixture_corpus, [W1], GROUPS)
+        transition_flows(fixture_corpus, [W1], GROUPS, **WINDOWED)
 
 
 def test_flows_reject_overlapping_windows(fixture_corpus):
     with pytest.raises(OverlappingWindows):
-        transition_flows(fixture_corpus, [W1, YearRange(1993, 1998)], GROUPS)
+        transition_flows(fixture_corpus, [W1, YearRange(1993, 1998)], GROUPS, **WINDOWED)
     with pytest.raises(OverlappingWindows):
-        transition_flows(fixture_corpus, [W2, W1], GROUPS)
+        transition_flows(fixture_corpus, [W2, W1], GROUPS, **WINDOWED)
 
 
 def test_citations_by_age_two_citation_example(corpus_file):
@@ -203,8 +238,7 @@ def test_citations_by_age_two_citation_example(corpus_file):
             paper("p3", 1993, ["c"], ["04.30.-w"], refs=["p1"]),
         ]
     )
-    series = citations_by_age(load_corpus(path), YearRange(1990, 1991), horizon=3)
-    entry = series.per_key["all"]
+    entry = citations_by_age(load_corpus(path), YearRange(1990, 1991), horizon=3)
     assert entry.paper_count == 1
     assert entry.citations_per_age == (0, 1, 0, 1)
     assert entry.mean_per_age == (0.0, 1.0, 0.0, 1.0)
@@ -212,15 +246,14 @@ def test_citations_by_age_two_citation_example(corpus_file):
 
 
 def test_citations_by_age_fixture(fixture_corpus):
-    series = citations_by_age(fixture_corpus, YearRange(1990, 2004), horizon=5)
-    entry = series.per_key["all"]
+    entry = citations_by_age(fixture_corpus, YearRange(1990, 2004), horizon=5)
     assert entry.paper_count == 12
     assert entry.citations_per_age == (0, 5, 3, 4, 3, 1)
     assert entry.cumulative_mean[5] == pytest.approx(16 / 12)
 
 
 def test_citations_by_age_empty_cohort(fixture_corpus):
-    with pytest.raises(EmptyCohort):
+    with pytest.raises(EmptyPeriod, match="no papers in 1950-1960"):
         citations_by_age(fixture_corpus, YearRange(1950, 1960), horizon=5)
 
 
@@ -230,48 +263,56 @@ def test_citations_by_age_rejects_bad_horizon(fixture_corpus):
 
 
 def test_citations_by_diversity_fixture_integer(fixture_corpus):
-    series = citations_by_diversity(fixture_corpus, COHORT1, horizon=5)
-    assert list(series.per_key) == ["0", "1", "2", "3", "6"]
-    key1 = series.per_key["1"]
+    series = citations_by_diversity(
+        fixture_corpus, COHORT1, 5, CITATION_KEY_SCHEME, include_zero_pacs=False
+    )
+    assert list(series) == ["0", "1", "2", "3", "6"]
+    key1 = series["1"]
     assert key1.paper_count == 2
     assert key1.citations_per_age == (0, 2, 0, 1, 0, 0)
     assert key1.cumulative_mean == (0.0, 1.0, 1.0, 1.5, 1.5, 1.5)
 
-    series2 = citations_by_diversity(fixture_corpus, COHORT2, horizon=5)
-    assert list(series2.per_key) == ["0", "3", "6", "7"]
-    key6 = series2.per_key["6"]
+    series2 = citations_by_diversity(
+        fixture_corpus, COHORT2, 5, CITATION_KEY_SCHEME, include_zero_pacs=False
+    )
+    assert list(series2) == ["0", "3", "6", "7"]
+    key6 = series2["6"]
     assert key6.paper_count == 2
     assert key6.cumulative_mean == (0.0, 0.5, 0.5, 0.5, 1.0, 1.0)
 
 
 def test_citations_by_diversity_fixture_bands(fixture_corpus):
     series = citations_by_diversity(
-        fixture_corpus, COHORT2, horizon=5, keying=BANDS
+        fixture_corpus, COHORT2, horizon=5, keying=BANDS, include_zero_pacs=False
     )
-    high = series.per_key["high"]
+    high = series["high"]
     assert high.paper_count == 3
     assert high.cumulative_mean == pytest.approx((0.0, 2 / 3, 2 / 3, 2 / 3, 1.0, 1.0))
 
 
 def test_cumulative_mean_never_decreases(fixture_corpus):
     for cohort in (COHORT1, COHORT2):
-        series = citations_by_diversity(fixture_corpus, cohort, horizon=8)
-        for entry in series.per_key.values():
+        series = citations_by_diversity(
+            fixture_corpus, cohort, 8, CITATION_KEY_SCHEME, include_zero_pacs=False
+        )
+        for entry in series.values():
             assert list(entry.cumulative_mean) == sorted(entry.cumulative_mean)
 
 
 def test_zero_pacs_papers_excluded_from_keys(fixture_corpus):
     # P06 has no codes; with the flag it shows up under key "0"
-    default = citations_by_diversity(fixture_corpus, COHORT1, horizon=5)
-    flagged = citations_by_diversity(
-        fixture_corpus, COHORT1, horizon=5, include_zero_pacs=True
+    default = citations_by_diversity(
+        fixture_corpus, COHORT1, 5, CITATION_KEY_SCHEME, include_zero_pacs=False
     )
-    assert default.per_key["0"].paper_count == 1
-    assert flagged.per_key["0"].paper_count == 2
+    flagged = citations_by_diversity(
+        fixture_corpus, COHORT1, 5, CITATION_KEY_SCHEME, include_zero_pacs=True
+    )
+    assert default["0"].paper_count == 1
+    assert flagged["0"].paper_count == 2
 
 
 def test_share_table_fixture(fixture_corpus):
-    table = diversity_share_table(fixture_corpus, [COHORT1, COHORT2])
+    table = diversity_share_table(fixture_corpus, [COHORT1, COHORT2], include_zero_pacs=False)
     c1 = table["1990-1997"]
     assert c1["0"] == pytest.approx(100 / 6)
     assert c1["1"] == pytest.approx(200 / 6)
@@ -292,7 +333,7 @@ def test_share_table_hand_example(corpus_file):
             paper("p4", 1990, ["d"], ["01.10.Fv", "11.15.Ha", "21.10.-k", "31.15.xv"]),
         ]
     )
-    table = diversity_share_table(load_corpus(path), [YearRange(1990, 1991)])
+    table = diversity_share_table(load_corpus(path), [YearRange(1990, 1991)], include_zero_pacs=False)
     shares = table["1990-1991"]
     assert shares["0"] == 50.0
     assert shares["3"] == 25.0
@@ -302,20 +343,27 @@ def test_share_table_hand_example(corpus_file):
 
 def test_share_table_rejects_empty_cohort(fixture_corpus):
     with pytest.raises(EmptyCohort, match="no diversity-keyed papers in 1950-1960"):
-        diversity_share_table(fixture_corpus, [COHORT1, YearRange(1950, 1960)])
+        diversity_share_table(
+            fixture_corpus, [COHORT1, YearRange(1950, 1960)], include_zero_pacs=False
+        )
 
 
 @pytest.mark.parametrize("table", [citations_by_diversity, citation_distribution_by_diversity])
 def test_citation_tables_reject_empty_cohort(table, fixture_corpus):
+    keying = (CITATION_KEY_SCHEME,) if table is citations_by_diversity else ()
     with pytest.raises(EmptyCohort, match="no diversity-keyed papers in 1950-1960"):
-        table(fixture_corpus, YearRange(1950, 1960), horizon=5)
+        table(fixture_corpus, YearRange(1950, 1960), 5, *keying, include_zero_pacs=False)
 
 
 def test_citation_distribution_fixture(fixture_corpus):
-    dists = citation_distribution_by_diversity(fixture_corpus, COHORT1, horizon=5)
+    dists = citation_distribution_by_diversity(
+        fixture_corpus, COHORT1, horizon=5, include_zero_pacs=False
+    )
     assert dists["0"] == {0: 0.0, 1: 0.0, 2: 0.0, 3: 1.0}
     assert dists["1"] == {0: 0.0, 1: 0.5, 2: 0.5}
-    dists2 = citation_distribution_by_diversity(fixture_corpus, COHORT2, horizon=5)
+    dists2 = citation_distribution_by_diversity(
+        fixture_corpus, COHORT2, horizon=5, include_zero_pacs=False
+    )
     assert dists2["0"] == {0: 1.0}
     for hist in list(dists.values()) + list(dists2.values()):
         assert sum(hist.values()) == pytest.approx(1.0)
@@ -325,7 +373,7 @@ def test_unbounded_horizon_totals_match_pair_count(fixture_corpus):
     # with a horizon beyond the corpus span, every non-negative-age pair lands in some bucket
     span = fixture_corpus.year_span()
     horizon = span.end - span.start + 1
-    series = citations_by_age(fixture_corpus, span, horizon=horizon)
-    total = sum(series.per_key["all"].citations_per_age)
+    entry = citations_by_age(fixture_corpus, span, horizon=horizon)
+    total = sum(entry.citations_per_age)
     pairs = sum(len(v) for v in fixture_corpus.citations_in.values())
     assert total == pairs - fixture_corpus.ingest_stats.negative_age_citations_skipped

@@ -653,7 +653,7 @@ def test_distributions_match_raw_recount(tmp_path, seed, include_zero_pacs):
                 _normalized_histogram(measure(codes) for codes in sets if codes or include_zero_pacs)
                 for sets in (author_sets, paper_sets)
             )
-            assert distributions(corpus, YearRange(start, end), include_zero_pacs) == expected
+            assert distributions(corpus, YearRange(start, end), include_zero_pacs=include_zero_pacs) == expected
     # the corpora hold the code-less authors and papers the flag decides on
     assert empty_authors and empty_papers
 

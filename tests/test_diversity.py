@@ -172,7 +172,7 @@ def test_paper_diversity(corpus_file):
 
 def test_pacs_count_distributions_excludes_zero_by_default(corpus_file):
     corpus = _mini_corpus(corpus_file)
-    authors, papers = pacs_count_distributions(corpus, YearRange(1990, 1993))
+    authors, papers = pacs_count_distributions(corpus, YearRange(1990, 1993), include_zero_pacs=False)
     assert papers == {1: 0.5, 2: 0.5}
     assert authors == {2: 1.0}
 

@@ -1,7 +1,7 @@
 """The code-set layer imports nothing from the layers built on it, the
 package exports no test-only code, every private name it defines is
-used, every public name has a reader in the package and every config
-field has a setter."""
+used, every public name and dataclass field has a reader in the package
+and every config field has a setter."""
 
 import ast
 import dataclasses
@@ -132,3 +132,34 @@ def test_no_config_field_without_a_setter(config):
         for keyword in node.keywords
     }
     assert [field.name for field in dataclasses.fields(config) if field.name not in passed] == []
+
+
+def _is_dataclass(node):
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+    return any(getattr(d, "id", None) == "dataclass" for d in decorators)
+
+
+def test_no_result_field_without_a_reader():
+    # a field nothing reads is a value no caller needs, such as an
+    # argument handed back in a result. Matching is by attribute name
+    # only: a field passes when any attribute of its name is read, so a
+    # field named like another object's attribute (a ``period`` beside
+    # ``cfg.period``) is not caught.
+    trees = _package_trees()
+    read = {
+        node.attr
+        for module, tree in trees.items()
+        if module != "__init__.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    fields = [
+        f"{node.name}.{item.target.id}"
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    ]
+    assert fields, "found no dataclass fields at all"
+    assert [name for name in fields if name.rpartition(".")[2] not in read] == []
