@@ -172,12 +172,15 @@ def _author_groups(
     cumulative: bool,
     include_zero_pacs: bool,
 ) -> dict[AuthorId, str]:
-    groups: dict[AuthorId, str] = {}
-    for author, union in _active_author_unions(corpus, window, cumulative).items():
-        if not union and not include_zero_pacs:
-            continue
-        groups[author] = assign_group(weitzman_diversity(union), scheme)
-    return groups
+    unions = _active_author_unions(corpus, window, cumulative)
+    divs = {
+        author: weitzman_diversity(union)
+        for author, union in unions.items()
+        if union or include_zero_pacs
+    }
+    # authors share few distinct diversities: look each one's label up once
+    labels = {diversity: assign_group(diversity, scheme) for diversity in set(divs.values())}
+    return {author: labels[diversity] for author, diversity in divs.items()}
 
 
 def group_fraction_table(
@@ -351,9 +354,11 @@ def _cohort_diversity_keys(
         r for r in corpus.papers_in(cohort) if r.pacs or include_zero_pacs
     ]
     divs = compute_diversities([r.pacs for r in records])
+    # a cohort holds few distinct diversities: look each one's label up once
+    labels = {diversity: assign_group(diversity, keying) for diversity in set(divs)}
     by_key: dict[str, list[PaperRecord]] = {}
     for record, diversity in zip(records, divs):
-        by_key.setdefault(assign_group(diversity, keying), []).append(record)
+        by_key.setdefault(labels[diversity], []).append(record)
     if not by_key:
         raise EmptyCohort(f"no diversity-keyed papers in {cohort.label}")
     # deterministic key order: the scheme's own

@@ -14,10 +14,11 @@ twice yields identical contents.
 Loading is one read of the file plus one pass over the accepted records
 to build the citation index, whose lists become tuples in place. Each
 distinct raw DOI, author, date, PACS and reference string is checked and
-converted once per load, so equal values share one object in the corpus,
-and so do equal code sets: every record with the same codes holds one
-frozenset. A record is an immutable tuple of only what a table reads:
-its DOI, authors, publication year and codes.
+converted once per load, so equal values share one object in the corpus:
+every spelling of one code maps to one ``PacsCode``, and every record
+with the same codes holds one tuple of them in ascending order. A record
+is an immutable tuple of only what a table reads: its DOI, authors,
+publication year and codes.
 
 Citations are derived strictly in-corpus: a reference counts only when
 the target DOI is that of an accepted paper. References to anything else
@@ -43,7 +44,7 @@ from dataclasses import dataclass, field
 from datetime import date
 from json.scanner import make_scanner
 from operator import itemgetter
-from typing import AbstractSet, Any, Callable, Iterator, Mapping, NewType
+from typing import Any, Callable, Collection, Iterator, Mapping, NewType
 
 from .diversity import diversity_histogram, weitzman_diversity
 from .errors import DuplicateDoi, EmptyPeriod, FormatError, IoFailure, MalformedCode
@@ -84,9 +85,9 @@ class PaperRecord(namedtuple("PaperRecord", ("doi", "authors", "pub_year", "pacs
     """One article as loaded; its references live on only as ages in ``Corpus.citations_in``.
 
     doi: the paper's DOI; authors: its normalised names, each once, in
-    listed order; pub_year: the year of its date; pacs: a frozenset of
-    its level-3 codes, one object shared by every paper of the load with
-    an equal set.
+    listed order; pub_year: the year of its date; pacs: a tuple of its
+    distinct level-3 codes in ascending order, one object shared by
+    every paper of the load with equal codes.
 
     An immutable tuple, like ``PacsCode``: it compares and hashes as its
     plain ``(doi, authors, pub_year, pacs)`` tuple, and is built as one.
@@ -249,11 +250,13 @@ class _Memo(dict):
         return value
 
 
-def _code_or_none(raw: str) -> PacsCode | None:
+def _code_or_none(raw: str, seen: dict[PacsCode, PacsCode]) -> PacsCode | None:
+    """The code ``raw`` spells, as the first equal one in ``seen``; None if malformed."""
     try:
-        return parse_pacs(raw)
+        code = parse_pacs(raw)
     except MalformedCode:
         return None
+    return seen.setdefault(code, code)
 
 
 def _year_of(raw_date: str) -> int:
@@ -286,11 +289,13 @@ class _Caches:
         # DOIs, refs and author names share one object across the corpus
         strings = self.strings = _Memo(str)
         self.authors = _Memo(lambda raw: strings[normalize_author(raw)])
-        self.codes = _Memo(_code_or_none)
+        # every spelling of one code ("04.25.dg", "04.25") maps to one object
+        distinct_codes: dict[PacsCode, PacsCode] = {}
+        self.codes = _Memo(lambda raw: _code_or_none(raw, distinct_codes))
         self.years = _Memo(_year_of)
-        # the first frozenset seen per distinct code set, shared by every
+        # the first sorted tuple seen per distinct code set, shared by every
         # record with an equal one
-        self.code_sets: dict[frozenset[PacsCode], frozenset[PacsCode]] = {}
+        self.code_sets: dict[tuple[PacsCode, ...], tuple[PacsCode, ...]] = {}
 
 
 def _parse_record(
@@ -313,7 +318,7 @@ def _parse_record(
     names = _lookup_all(caches.authors, authors, tuple)
     if names is None:
         raise FormatError(lineno, "authors must be a list of strings")
-    codes = _lookup_all(caches.codes, pacs, frozenset)
+    codes = _lookup_all(caches.codes, pacs, tuple)
     if codes is None:
         raise FormatError(lineno, "pacs must be a list of strings")
     targets = _lookup_all(caches.strings, refs, tuple)
@@ -332,11 +337,12 @@ def _parse_record(
         counters["duplicate_authors"] += len(names) - len(unique)
         names = unique
     if None in codes:
-        # the counter goes per listed string, repeats included, so it
-        # comes from the list; only records with a malformed code pay
-        # for this second pass
-        counters["malformed"] += [caches.codes[raw] for raw in pacs].count(None)
-        codes = codes - {None}
+        # one entry per listed string, so repeats count each time
+        counters["malformed"] += codes.count(None)
+        codes = tuple(code for code in codes if code is not None)
+    if len(codes) > 1:
+        # ascending order is canonical: equal sets give equal tuples
+        codes = tuple(sorted(set(codes)))
     codes = caches.code_sets.setdefault(codes, codes)
 
     return PaperRecord(doi, names, year, codes), targets
@@ -345,12 +351,12 @@ def _parse_record(
 def load_corpus(path, config: IngestConfig | None = None, digest=None) -> Corpus:
     """Load a JSON Lines metadata file into an immutable Corpus.
 
-    PACS codes are truncated to level 3 and deduplicated per record;
-    malformed codes are dropped and counted. Author names are normalized
-    and deduplicated per record in first-seen order, each dropped repeat
-    counted. Blank lines, empty or holding only the whitespace JSON
-    allows (space, tab, CR, LF), are skipped; a line of any other
-    whitespace is malformed.
+    PACS codes are truncated to level 3, deduplicated and sorted per
+    record; malformed codes are dropped and counted. Author names are
+    normalized and deduplicated per record in first-seen order, each
+    dropped repeat counted. Blank lines, empty or holding only the
+    whitespace JSON allows (space, tab, CR, LF), are skipped; a line of
+    any other whitespace is malformed.
 
     A ``digest`` (``hashlib.sha256()``, say) is updated with every raw
     line read, blank and rejected ones included: the bytes loaded.
@@ -505,7 +511,7 @@ def papers_with_pacs_fraction_by_year(corpus: Corpus) -> dict[int, float]:
 
 
 def _distributions(
-    corpus: Corpus, period: YearRange, measure: Callable[[AbstractSet[PacsCode]], int], include_zero_pacs: bool
+    corpus: Corpus, period: YearRange, measure: Callable[[Collection[PacsCode]], int], include_zero_pacs: bool
 ) -> _Histograms:
     """Normalized histograms of ``measure`` over a period: (per-author, per-paper).
 

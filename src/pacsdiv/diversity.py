@@ -40,14 +40,14 @@ __all__ = [
 def weitzman_diversity(codes: Iterable[PacsCode]) -> int:
     """Weitzman diversity of a code set, in closed form.
 
-    Duplicates are removed first (a ``set`` or ``frozenset`` is used as
-    it is); sets of size <= 1, including the empty set, have diversity
-    zero. Otherwise the result is the tree length
+    Duplicates are removed first (a ``set`` is used as it is); sets of
+    size <= 1, including the empty set, have diversity zero. Otherwise
+    the result is the tree length
     ``|level-1 digits| + |two-digit fields| + |codes| - 3``, which equals
     the greedy insertion sum in every order on this ultrametric -- a
     property pinned by the test suite rather than assumed.
     """
-    members = codes if isinstance(codes, (set, frozenset)) else set(codes)
+    members = codes if isinstance(codes, set) else set(codes)
     n = len(members)
     if n <= 1:
         return 0
@@ -65,7 +65,7 @@ def diversity_histogram(values: Iterable[int]) -> dict[int, float]:
     return {k: c / total for k, c in counts.items()}
 
 
-def compute_diversities(pacs_sets: Sequence[frozenset[PacsCode]]) -> list[int]:
+def compute_diversities(pacs_sets: Sequence[Iterable[PacsCode]]) -> list[int]:
     """Diversity of each code set, in input order.
 
     The batch form of ``weitzman_diversity`` for per-paper diversities

@@ -28,8 +28,9 @@ class PacsCode(namedtuple("PacsCode", ("level1", "level2", "level3"))):
     leading two-digit pair); level3: the two-digit subfield pair.
 
     An immutable tuple, so it orders, compares and hashes as its plain
-    ``(level1, level2, level3)`` tuple, and its hash runs in C: every code
-    of every paper's frozenset and author union is hashed at least once.
+    ``(level1, level2, level3)`` tuple, and its hash and ordering run in
+    C: every code of every paper is hashed and sorted at load, and every
+    code of an author union is hashed at least once.
     """
 
     __slots__ = ()

@@ -80,7 +80,7 @@ def test_codes_truncated_and_deduplicated(fixture_corpus):
     p11 = fixture_corpus.papers["10.1103/P11"]
     assert {c.text for c in p11.pacs} == {"04.25", "04.30", "07.05", "11.15"}
     p06 = fixture_corpus.papers["10.1103/P06"]
-    assert p06.pacs == frozenset()
+    assert p06.pacs == ()
 
 
 def test_citations_in(fixture_path, fixture_corpus):
@@ -395,6 +395,33 @@ def test_equal_code_sets_are_one_object(tmp_path, seed):
     accepted, _ = _raw_accepted(path)
     assert len(first) == len({frozenset(_raw_codes(obj)) for obj in accepted})
     assert len(first) < len(corpus.papers)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_record_codes_are_sorted_distinct_tuples(tmp_path, seed):
+    path = messy_corpus(tmp_path / "messy.jsonl", 300, seed)
+    corpus = load_corpus(path, IngestConfig(strict=False))
+    accepted, _ = _raw_accepted(path)
+    assert len(accepted) == len(corpus.papers)
+    for obj in accepted:
+        codes = corpus.papers[obj["doi"]].pacs
+        assert type(codes) is tuple
+        assert all(a < b for a, b in zip(codes, codes[1:]))
+        assert [code.text for code in codes] == sorted(_raw_codes(obj))
+
+
+def test_equal_codes_are_one_object(corpus_file):
+    path = corpus_file([
+        paper("a", 1990, ["x"], ["04.25.dg", "07.05.Fb"]),
+        paper("b", 1991, ["y"], ["04.25.-g"]),
+        paper("c", 1992, ["x"], [" 04.25 ", "07.05.-k", "11.15"]),
+    ])
+    corpus = load_corpus(path)
+    first = {}
+    for record in corpus.papers.values():
+        for code in record.pacs:
+            assert first.setdefault(code, code) is code
+    assert sorted(code.text for code in first) == ["04.25", "07.05", "11.15"]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
