@@ -22,7 +22,6 @@ from .cohorts import (
     diversity_share_table,
     group_fraction_table,
     group_scheme_from_spec,
-    integer_key_scheme,
     transition_flows,
 )
 from .corpus import (
@@ -39,7 +38,7 @@ from .corpus import (
     pacs_count_distributions,
     papers_with_pacs_fraction_by_year,
 )
-from .diversity import compute_diversities, diversity_histogram, weitzman_diversity
+from .diversity import weitzman_diversity
 from .errors import (
     ConfigError,
     DuplicateDoi,
@@ -84,14 +83,11 @@ __all__ = [
     "citation_distribution_by_diversity",
     "citations_by_age",
     "citations_by_diversity",
-    "compute_diversities",
     "corpus_summary",
     "diversity_distributions",
-    "diversity_histogram",
     "diversity_share_table",
     "group_fraction_table",
     "group_scheme_from_spec",
-    "integer_key_scheme",
     "load_corpus",
     "normalize_author",
     "pacs_count_distributions",

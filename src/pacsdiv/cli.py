@@ -168,22 +168,16 @@ def _atomic_write(path: Path, payload: bytes) -> None:
 # command builders
 
 
-def _period_with_papers(corpus: Corpus, cfg: RunConfig) -> YearRange:
-    """The period a ``--period`` command reads; EmptyPeriod when no paper falls in it.
-
-    ``cfg.period`` is already resolved: None only for an empty corpus.
-    """
-    period = cfg.period
-    if period is None:
+def _period(cfg: RunConfig) -> YearRange:
+    """The resolved ``--period``; None there means the corpus has no papers."""
+    if cfg.period is None:
         raise EmptyPeriod("corpus has no papers")
-    if next(corpus.papers_in(period), None) is None:
-        raise EmptyPeriod(f"no papers in {period.label}")
-    return period
+    return cfg.period
 
 
 def build_summary(corpus: Corpus, cfg: RunConfig) -> Table:
     """corpus-level averages over a period"""
-    stats = corpus_summary(corpus, _period_with_papers(corpus, cfg))
+    stats = corpus_summary(corpus, _period(cfg))
     rows = (
         ("papers", stats.papers),
         ("authors", stats.authors),
@@ -208,9 +202,7 @@ def build_pacs_coverage(corpus: Corpus, cfg: RunConfig) -> Table:
 def _distribution_table(
     corpus: Corpus, cfg: RunConfig, distributions: Callable[..., tuple[dict, dict]], value_column: str
 ) -> Table:
-    authors, papers = distributions(
-        corpus, _period_with_papers(corpus, cfg), include_zero_pacs=cfg.include_zero_pacs
-    )
+    authors, papers = distributions(corpus, _period(cfg), include_zero_pacs=cfg.include_zero_pacs)
     rows = [("author", v, f) for v, f in sorted(authors.items())]
     rows += [("paper", v, f) for v, f in sorted(papers.items())]
     return Table(("entity", value_column, "fraction"), tuple(rows))
@@ -251,15 +243,16 @@ def build_flows(corpus: Corpus, cfg: RunConfig) -> Table:
         cumulative=cfg.author_mode == "cumulative",
         include_zero_pacs=cfg.include_zero_pacs,
     )
+    labels = cfg.groups.labels
     rows: list[tuple] = []
     for m in matrices:
         pair = (m.from_window.label, m.to_window.label)
-        for fl in m.labels:
-            for tl in m.labels:
+        for fl in labels:
+            for tl in labels:
                 rows.append(pair + ("flow", fl, tl, m.flow[fl][tl]))
-        for tl in m.labels:
+        for tl in labels:
             rows.append(pair + ("entrants", "", tl, m.entrants[tl]))
-        for fl in m.labels:
+        for fl in labels:
             rows.append(pair + ("leavers", fl, "", m.leavers[fl]))
     columns = ("from_window", "to_window", "kind", "from_group", "to_group", "count")
     return Table(columns, tuple(rows))
@@ -273,7 +266,7 @@ def _series_rows(label_prefix: tuple, entry: co.SeriesEntry) -> list[tuple]:
 
 def build_citation_age(corpus: Corpus, cfg: RunConfig) -> Table:
     """average citations per paper at each age"""
-    entry = co.citations_by_age(corpus, _period_with_papers(corpus, cfg), cfg.horizon)
+    entry = co.citations_by_age(corpus, _period(cfg), cfg.horizon)
     rows = tuple(_series_rows((), entry))
     return Table(("age", "papers", "citations", "mean_citations", "cumulative_mean"), rows)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .corpus import AuthorId, Corpus, PaperRecord
-from .diversity import compute_diversities, weitzman_diversity
+from .diversity import weitzman_diversity
 from .errors import ConfigError, EmptyCohort, EmptyPeriod, OverlappingWindows
 from .taxonomy import PacsCode
 from .years import YearRange
@@ -37,7 +37,6 @@ __all__ = [
     "assign_group",
     "group_scheme_from_spec",
     "band_scheme_from_spec",
-    "integer_key_scheme",
     "CITATION_KEY_SCHEME",
     "SHARE_KEY_SCHEME",
     "FlowMatrix",
@@ -134,7 +133,7 @@ def band_scheme_from_spec(text: str) -> DiversityGroupScheme:
     return DiversityGroupScheme(labels, bounds)
 
 
-def integer_key_scheme(pooled_label: str) -> DiversityGroupScheme:
+def _integer_key_scheme(pooled_label: str) -> DiversityGroupScheme:
     """Per-integer keys 0..8 plus one open-ended bin pooling 9 and up as ``pooled_label``."""
     labels = tuple(str(i) for i in range(9)) + (pooled_label,)
     bounds = tuple((i, i) for i in range(9)) + ((9, None),)
@@ -143,8 +142,8 @@ def integer_key_scheme(pooled_label: str) -> DiversityGroupScheme:
 
 # Integer keying labels the pooled >8 bin "8+" to sit alongside key 8 in
 # citation tables; the share table pools the same population as "9+".
-CITATION_KEY_SCHEME = integer_key_scheme("8+")
-SHARE_KEY_SCHEME = integer_key_scheme("9+")
+CITATION_KEY_SCHEME = _integer_key_scheme("8+")
+SHARE_KEY_SCHEME = _integer_key_scheme("9+")
 
 
 def _active_author_unions(
@@ -219,12 +218,12 @@ class FlowMatrix:
     flow[from_label][to_label] counts authors grouped in both windows;
     entrants are absent from the earlier window, leavers from the later
     one. Row sums plus leavers give the earlier window's group counts;
-    column sums plus entrants give the later window's.
+    column sums plus entrants give the later window's. Every mapping is
+    keyed by the scheme's labels, in the scheme's order.
     """
 
     from_window: YearRange
     to_window: YearRange
-    labels: tuple[str, ...]
     flow: Mapping[str, Mapping[str, int]]
     entrants: Mapping[str, int]
     leavers: Mapping[str, int]
@@ -278,7 +277,6 @@ def transition_flows(
             FlowMatrix(
                 from_window=windows[i],
                 to_window=windows[i + 1],
-                labels=scheme.labels,
                 flow=flow,
                 entrants=entrants,
                 leavers=leavers,
@@ -353,7 +351,7 @@ def _cohort_diversity_keys(
     records = [
         r for r in corpus.papers_in(cohort) if r.pacs or include_zero_pacs
     ]
-    divs = compute_diversities([r.pacs for r in records])
+    divs = [weitzman_diversity(r.pacs) for r in records]
     # a cohort holds few distinct diversities: look each one's label up once
     labels = {diversity: assign_group(diversity, keying) for diversity in set(divs)}
     by_key: dict[str, list[PaperRecord]] = {}

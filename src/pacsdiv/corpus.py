@@ -39,14 +39,14 @@ from __future__ import annotations
 import gc
 import json
 import re
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from datetime import date
 from json.scanner import make_scanner
 from operator import itemgetter
-from typing import Any, Callable, Collection, Iterator, Mapping, NewType
+from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, NewType
 
-from .diversity import diversity_histogram, weitzman_diversity
+from .diversity import weitzman_diversity
 from .errors import DuplicateDoi, EmptyPeriod, FormatError, IoFailure, MalformedCode
 from .taxonomy import PacsCode, parse_pacs
 from .years import YearRange
@@ -266,15 +266,15 @@ def _year_of(raw_date: str) -> int:
     return date.fromisoformat(raw_date).year
 
 
-def _lookup_all(memo: _Memo, items: object, container: type) -> Any:
-    """``container(memo[item] for item in items)`` for a list of strings.
+def _lookup_all(memo: _Memo, items: object) -> tuple | None:
+    """``tuple(memo[item] for item in items)`` for a list of strings.
 
     Returns None when ``items`` is not a list or holds a non-string.
     """
     if not isinstance(items, list):
         return None
     try:
-        return container(map(memo.__getitem__, items))
+        return tuple(map(memo.__getitem__, items))
     except TypeError:
         return None
 
@@ -315,13 +315,13 @@ def _parse_record(
     doi = caches.strings.setdefault(doi, doi)
     if not isinstance(title, str):
         raise FormatError(lineno, "title must be a string")
-    names = _lookup_all(caches.authors, authors, tuple)
+    names = _lookup_all(caches.authors, authors)
     if names is None:
         raise FormatError(lineno, "authors must be a list of strings")
-    codes = _lookup_all(caches.codes, pacs, tuple)
+    codes = _lookup_all(caches.codes, pacs)
     if codes is None:
         raise FormatError(lineno, "pacs must be a list of strings")
-    targets = _lookup_all(caches.strings, refs, tuple)
+    targets = _lookup_all(caches.strings, refs)
     if targets is None:
         raise FormatError(lineno, "refs must be a list of strings")
     if not isinstance(raw_date, str):
@@ -510,6 +510,16 @@ def papers_with_pacs_fraction_by_year(corpus: Corpus) -> dict[int, float]:
     return {year: with_codes.get(year, 0) / n for year, n in sorted(totals.items())}
 
 
+def _histogram(values: Iterable[int]) -> dict[int, float]:
+    """Integer-keyed histogram of values as fractions of the total.
+
+    The empty input gives an empty table.
+    """
+    counts = Counter(values)
+    total = sum(counts.values())
+    return {k: c / total for k, c in counts.items()}
+
+
 def _distributions(
     corpus: Corpus, period: YearRange, measure: Callable[[Collection[PacsCode]], int], include_zero_pacs: bool
 ) -> _Histograms:
@@ -518,10 +528,12 @@ def _distributions(
     ``measure`` sees each author's code union over the period and each
     in-period paper's own codes; empty sets count only with ``include_zero_pacs``.
     """
+    papers = [record.pacs for record in corpus.papers_in(period)]
+    if not papers:
+        raise EmptyPeriod(f"no papers in {period.label}")
     unions = corpus.author_unions(period).values()
-    papers = (record.pacs for record in corpus.papers_in(period))
     return tuple(
-        diversity_histogram(measure(codes) for codes in sets if codes or include_zero_pacs)
+        _histogram(measure(codes) for codes in sets if codes or include_zero_pacs)
         for sets in (unions, papers)
     )
 
@@ -534,6 +546,11 @@ def pacs_count_distributions(corpus: Corpus, period: YearRange, *, include_zero_
     count. Both tables are normalized to fractions. Zero-count entries
     (papers without codes, authors whose period papers carry none) are
     excluded unless ``include_zero_pacs`` is set.
+
+    Raises
+    ------
+    EmptyPeriod
+        If no paper falls inside the period.
     """
     return _distributions(corpus, period, len, include_zero_pacs)
 
@@ -544,6 +561,11 @@ def diversity_distributions(corpus: Corpus, period: YearRange, *, include_zero_p
     As ``pacs_count_distributions``, with the Weitzman diversity of each
     code set in place of its size; ``include_zero_pacs`` admits the
     entries without codes as diversity 0.
+
+    Raises
+    ------
+    EmptyPeriod
+        If no paper falls inside the period.
     """
     return _distributions(corpus, period, weitzman_diversity, include_zero_pacs)
 

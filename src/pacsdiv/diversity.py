@@ -25,16 +25,11 @@ authors.
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .taxonomy import PacsCode
 
-__all__ = [
-    "weitzman_diversity",
-    "diversity_histogram",
-    "compute_diversities",
-]
+__all__ = ["weitzman_diversity"]
 
 
 def weitzman_diversity(codes: Iterable[PacsCode]) -> int:
@@ -53,22 +48,3 @@ def weitzman_diversity(codes: Iterable[PacsCode]) -> int:
         return 0
     fields = {10 * c.level1 + c.level2 for c in members}
     return len({f // 10 for f in fields}) + len(fields) + n - 3
-
-
-def diversity_histogram(values: Iterable[int]) -> dict[int, float]:
-    """Integer-keyed histogram of values as fractions of the total.
-
-    The empty input gives an empty table.
-    """
-    counts = Counter(values)
-    total = sum(counts.values())
-    return {k: c / total for k, c in counts.items()}
-
-
-def compute_diversities(pacs_sets: Sequence[Iterable[PacsCode]]) -> list[int]:
-    """Diversity of each code set, in input order.
-
-    The batch form of ``weitzman_diversity`` for per-paper diversities
-    of a cohort.
-    """
-    return [weitzman_diversity(codes) for codes in pacs_sets]

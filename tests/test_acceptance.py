@@ -22,7 +22,6 @@ from pacsdiv import (
     YearRange,
     assign_group,
     citations_by_age,
-    compute_diversities,
     corpus_summary,
     diversity_share_table,
     group_fraction_table,
@@ -222,7 +221,7 @@ def _cumulative_group_counts(corpus, window, scheme):
 
 def _moves(matrix):
     """(downward, upward) author counts: flows toward a lower or a higher group."""
-    rank = {label: i for i, label in enumerate(matrix.labels)}
+    rank = {label: i for i, label in enumerate(GROUPS.labels)}
     down = up = 0
     for fl, row in matrix.flow.items():
         for tl, count in row.items():
@@ -271,7 +270,7 @@ def test_criterion_throughput(tmp_path):
     path = _pinned_synth(tmp_path / "synth400k.jsonl", 400_000, 17)
     t0 = time.perf_counter()
     corpus = load_corpus(path)
-    diversities = compute_diversities([record.pacs for record in corpus.papers.values()])
+    diversities = [weitzman_diversity(record.pacs) for record in corpus.papers.values()]
     elapsed = time.perf_counter() - t0
     assert len(diversities) == 400_000
     assert elapsed < 60.0

@@ -285,6 +285,17 @@ def test_empty_period_exit_code_for_every_period_command(command, fixture_path, 
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["summary", "pacs-counts", "diversity-dist", "citation-age"])
+def test_corpus_without_papers_exit_code(command, tmp_path, capsys):
+    # blank lines only: no year span, so no default period to read
+    blank = tmp_path / "blank.jsonl"
+    blank.write_text("\n  \n\n")
+    out = tmp_path / "out"
+    assert run_cli(command, blank, out) == 6
+    assert capsys.readouterr().err == f"pacsdiv {command}: error: corpus has no papers\n"
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("cohorts", ["1800-1801", "1800-1801,1990-1997"])
 @pytest.mark.parametrize("command", ["diversity-citations", "citation-dist", "share"])
 def test_empty_cohort_exit_code(command, cohorts, fixture_path, tmp_path, capsys):

@@ -21,7 +21,6 @@ from pacsdiv import (
     diversity_share_table,
     group_fraction_table,
     group_scheme_from_spec,
-    integer_key_scheme,
     load_corpus,
     pacs_count_distributions,
     transition_flows,
@@ -71,7 +70,7 @@ def test_scheme_parsing():
 
 
 def test_integer_key_scheme():
-    scheme = integer_key_scheme("8+")
+    scheme = CITATION_KEY_SCHEME
     assert scheme.labels == ("0", "1", "2", "3", "4", "5", "6", "7", "8", "8+")
     assert assign_group(8, scheme) == "8"
     assert assign_group(9, scheme) == "8+"
@@ -162,10 +161,10 @@ def test_flow_conservation(fixture_corpus):
     matrices = transition_flows(fixture_corpus, windows, GROUPS, **WINDOWED)
     counts = {}
     for matrix in matrices:
-        for label in matrix.labels:
+        for label in GROUPS.labels:
             row = sum(matrix.flow[label].values()) + matrix.leavers[label]
             col = (
-                sum(matrix.flow[fl][label] for fl in matrix.labels)
+                sum(matrix.flow[fl][label] for fl in GROUPS.labels)
                 + matrix.entrants[label]
             )
             counts.setdefault(matrix.from_window.label, {})[label] = row

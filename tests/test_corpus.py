@@ -643,6 +643,20 @@ def test_summary_empty_period(fixture_corpus):
         corpus_summary(fixture_corpus, YearRange(1950, 1960))
 
 
+@pytest.mark.parametrize("distributions", [pacs_count_distributions, diversity_distributions])
+def test_distributions_empty_period(distributions, fixture_corpus):
+    with pytest.raises(EmptyPeriod, match="no papers in 1950-1960"):
+        distributions(fixture_corpus, YearRange(1950, 1960), include_zero_pacs=False)
+
+
+def test_distributions_of_a_period_without_authors(corpus_file):
+    # a paper in the period is enough, even when no author is on it
+    corpus = load_corpus(corpus_file([paper("a", 1990, [], ["04.25.dg", "07.05.Fb"])]))
+    period = YearRange(1990, 1991)
+    assert pacs_count_distributions(corpus, period, include_zero_pacs=False) == ({}, {2: 1.0})
+    assert diversity_distributions(corpus, period, include_zero_pacs=False) == ({}, {2: 1.0})
+
+
 def test_double_load_identical(fixture_path):
     first = load_corpus(fixture_path)
     second = load_corpus(fixture_path)

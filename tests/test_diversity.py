@@ -6,12 +6,12 @@ from hypothesis import given, settings, strategies as st
 from pacsdiv import (
     PacsCode,
     YearRange,
-    diversity_histogram,
     load_corpus,
     pacs_count_distributions,
     parse_pacs,
     weitzman_diversity,
 )
+from pacsdiv.corpus import _histogram
 from conftest import paper
 from helpers import (
     ORACLE_SIZE_CAP,
@@ -137,8 +137,8 @@ def test_minimal_within_one_subfield():
 
 
 def test_histogram_counts_and_normalizes():
-    assert diversity_histogram([0, 3, 3, 7]) == {0: 0.25, 3: 0.5, 7: 0.25}
-    assert diversity_histogram([]) == {}
+    assert _histogram([0, 3, 3, 7]) == {0: 0.25, 3: 0.5, 7: 0.25}
+    assert _histogram([]) == {}
 
 
 def _mini_corpus(corpus_file):

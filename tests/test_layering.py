@@ -61,6 +61,18 @@ def test_package_exports_no_test_only_code(name):
     assert name not in pacsdiv.__all__
 
 
+def test_kernel_module_exports_only_the_kernel():
+    assert pacsdiv.diversity.__all__ == ["weitzman_diversity"]
+
+
+# routes with one reader each, folded into it: a cohort's diversities,
+# the distributions' histogram and the integer keyings' builder
+@pytest.mark.parametrize("name", ["compute_diversities", "diversity_histogram", "integer_key_scheme"])
+def test_package_exports_no_single_reader_route(name):
+    assert not hasattr(pacsdiv, name)
+    assert name not in pacsdiv.__all__
+
+
 def _module_private_names(tree):
     """Names of the module-level private functions, classes and constants of a module."""
     names = []
