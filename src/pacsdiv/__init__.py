@@ -8,93 +8,15 @@ is its Weitzman diversity, which on this ultrametric is the total branch
 length of the tree the set spans.
 """
 
-from .cohorts import (
-    CITATION_KEY_SCHEME,
-    SHARE_KEY_SCHEME,
-    DiversityGroupScheme,
-    FlowMatrix,
-    SeriesEntry,
-    assign_group,
-    band_scheme_from_spec,
-    citation_distribution_by_diversity,
-    citations_by_age,
-    citations_by_diversity,
-    diversity_share_table,
-    group_fraction_table,
-    group_scheme_from_spec,
-    transition_flows,
-)
-from .corpus import (
-    AuthorId,
-    Corpus,
-    IngestConfig,
-    IngestStats,
-    PaperRecord,
-    SummaryStats,
-    corpus_summary,
-    diversity_distributions,
-    load_corpus,
-    normalize_author,
-    pacs_count_distributions,
-    papers_with_pacs_fraction_by_year,
-)
-from .diversity import weitzman_diversity
-from .errors import (
-    ConfigError,
-    DuplicateDoi,
-    EmptyCohort,
-    EmptyPeriod,
-    FormatError,
-    IoFailure,
-    MalformedCode,
-    OverlappingWindows,
-    PacsDivError,
-)
-from .taxonomy import PacsCode, parse_pacs
-from .years import YearRange, parse_year_range, parse_year_ranges
+from .cohorts import *
+from .corpus import *
+from .diversity import *
+from .errors import *
+from .taxonomy import *
+from .years import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuthorId",
-    "CITATION_KEY_SCHEME",
-    "ConfigError",
-    "Corpus",
-    "DiversityGroupScheme",
-    "DuplicateDoi",
-    "EmptyCohort",
-    "EmptyPeriod",
-    "FlowMatrix",
-    "FormatError",
-    "IngestConfig",
-    "IngestStats",
-    "IoFailure",
-    "MalformedCode",
-    "OverlappingWindows",
-    "PacsCode",
-    "PacsDivError",
-    "PaperRecord",
-    "SHARE_KEY_SCHEME",
-    "SeriesEntry",
-    "SummaryStats",
-    "YearRange",
-    "assign_group",
-    "band_scheme_from_spec",
-    "citation_distribution_by_diversity",
-    "citations_by_age",
-    "citations_by_diversity",
-    "corpus_summary",
-    "diversity_distributions",
-    "diversity_share_table",
-    "group_fraction_table",
-    "group_scheme_from_spec",
-    "load_corpus",
-    "normalize_author",
-    "pacs_count_distributions",
-    "papers_with_pacs_fraction_by_year",
-    "parse_pacs",
-    "parse_year_range",
-    "parse_year_ranges",
-    "transition_flows",
-    "weitzman_diversity",
-]
+# each public name is declared once, in its module's __all__; importing a
+# submodule also binds its name here
+__all__ = [*cohorts.__all__, *corpus.__all__, *diversity.__all__, *errors.__all__, *taxonomy.__all__, *years.__all__]

@@ -360,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--input", help="JSON Lines metadata file")
     common.add_argument("--out-dir", dest="out_dir", help=f"output directory (default ${OUT_DIR_ENV} or .)")
-    common.add_argument("--format", choices=FORMATS, help="table format (default csv)")
+    common.add_argument("--format", choices=FORMATS, help=f"table format (default {DEFAULTS['format']})")
     common.add_argument("--config", help="JSON config file; explicit flags win")
     common.add_argument("--windows", help="comma-separated year windows, e.g. 1985-90,1990-95")
     common.add_argument("--cohorts", help="comma-separated cohort year ranges")
@@ -368,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--period",
         help="year range for summary, pacs-counts, diversity-dist and citation-age (default: full corpus span)",
     )
-    common.add_argument("--horizon", type=int, help="citation horizon in years (default 10)")
+    common.add_argument("--horizon", type=int, help=f"citation horizon in years (default {DEFAULTS['horizon']})")
     common.add_argument("--groups", help="diversity group boundaries, e.g. 0-3,4-9,10-27,28+")
     common.add_argument("--bands", help="diversity band boundaries, e.g. 0-2,3-5,6+")
     common.add_argument(

@@ -240,7 +240,9 @@ def transition_flows(
     """One FlowMatrix per adjacent pair of chronological windows.
 
     Authors are grouped per window as in ``group_fraction_table``, with
-    the same two flags.
+    the same two flags. A window without any groupable author is not an
+    error: every author of the window beside it is a leaver or an
+    entrant, and a matrix between two such windows counts only zeros.
 
     Raises
     ------

@@ -4,6 +4,18 @@ Every error that can surface through the CLI has its own class so the
 command line can map it to a stable exit code.
 """
 
+__all__ = [
+    "PacsDivError",
+    "MalformedCode",
+    "IoFailure",
+    "FormatError",
+    "DuplicateDoi",
+    "EmptyPeriod",
+    "EmptyCohort",
+    "OverlappingWindows",
+    "ConfigError",
+]
+
 
 class PacsDivError(Exception):
     """Base class for all package errors."""

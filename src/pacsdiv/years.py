@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 
+__all__ = ["YearRange", "parse_year_range", "parse_year_ranges"]
+
 
 @dataclass(frozen=True, order=True, slots=True)
 class YearRange:

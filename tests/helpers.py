@@ -368,25 +368,26 @@ _RAW_KEY_ORDER = {
 }
 
 
-def raw_citation_tables(path, cohorts, horizon, include_zero_pacs=False):
-    """Citation rows of a lenient load with the default period and bands, from the raw bytes.
+def _raw_diversity(texts):
+    return block_count_diversity(PacsCode(int(t[0]), int(t[1]), t[3:]) for t in texts)
 
-    Bypasses the loader: years, codes and ages come from the accepted
-    records of ``_raw_accepted``, diversities from ``block_count_diversity``.
-    ``cohorts`` is a list of half-open (start, end) pairs. Returns the
-    CSV cells, as written, of the ``summary`` row ``citations_per_paper``
-    and of every row of ``citation-age``, ``diversity-citations`` and
-    ``citation-dist``; the last two are None when a cohort holds no keyed
-    paper.
+
+def raw_citation_tables(path, cohorts, horizon, include_zero_pacs=False, period=None):
+    """Summary and citation rows of a lenient load with the default bands, from the raw bytes.
+
+    Bypasses the loader: years, names, codes and ages come from the
+    accepted records of ``_raw_accepted``, diversities from
+    ``block_count_diversity``. ``cohorts`` is a list of half-open
+    (start, end) pairs and ``period`` one such pair, or None for the
+    corpus's full year span. Returns the CSV cells, as written, of every
+    row of ``summary``, ``citation-age``, ``diversity-citations`` and
+    ``citation-dist``; the first two are None when the period holds no
+    paper, the last two when a cohort holds no keyed paper.
     """
     accepted, _ = _raw_accepted(path)
     year = {obj["doi"]: _raw_year(obj["date"]) for obj in accepted}
     codes = {obj["doi"]: _raw_codes(obj) for obj in accepted}
-    diversity = {
-        doi: block_count_diversity(PacsCode(int(t[0]), int(t[1]), t[3:]) for t in texts)
-        for doi, texts in codes.items()
-        if texts or include_zero_pacs
-    }
+    diversity = {doi: _raw_diversity(texts) for doi, texts in codes.items() if texts or include_zero_pacs}
     ages = {doi: [] for doi in year}
     for obj in accepted:
         for target in obj["refs"]:
@@ -407,10 +408,12 @@ def raw_citation_tables(path, cohorts, horizon, include_zero_pacs=False):
             rows.append([str(age), str(len(dois)), str(c), f"{c / len(dois):.6f}", f"{running:.6f}"])
         return rows
 
-    all_ages = [age for doi_ages in ages.values() for age in doi_ages]
+    if period is None and year:
+        period = (min(year.values()), max(year.values()) + 1)
+    in_period = [obj for obj in accepted if period and period[0] <= year[obj["doi"]] < period[1]]
     tables = {
-        "summary": ["citations_per_paper", f"{sum(age >= 0 for age in all_ages) / len(accepted):.6f}"],
-        "citation-age": series(list(year)),
+        "summary": _raw_summary(in_period, codes, ages) if in_period else None,
+        "citation-age": series([obj["doi"] for obj in in_period]) if in_period else None,
         "diversity-citations": [],
         "citation-dist": [],
     }
@@ -436,6 +439,39 @@ def raw_citation_tables(path, cohorts, horizon, include_zero_pacs=False):
                 for c in range(max(counts) + 1):
                     tables["citation-dist"].append([label, key, str(c), f"{counts.count(c) / len(counts):.6f}"])
     return tables
+
+
+def _raw_summary(in_period, codes, ages):
+    """The nine ``summary`` rows over the accepted records ``in_period``.
+
+    A paper's authors are its distinct normalised names; an author's
+    codes are the union over their in-period papers, so an author whose
+    papers carry no code counts with zero codes and diversity 0.
+    """
+    unions = {}
+    listed = 0
+    for obj in in_period:
+        names = dict.fromkeys(_raw_name(raw) for raw in obj["authors"])
+        listed += len(names)
+        for name in names:
+            unions.setdefault(name, set()).update(codes[obj["doi"]])
+    papers = len(in_period)
+    authors = len(unions)
+
+    def per_author(total):
+        return f"{total / authors if authors else 0.0:.6f}"
+
+    return [
+        ["papers", str(papers)],
+        ["authors", str(authors)],
+        ["papers_per_author", per_author(listed)],
+        ["authors_per_paper", f"{listed / papers:.6f}"],
+        ["pacs_codes_per_author", per_author(sum(map(len, unions.values())))],
+        ["pacs_codes_per_paper", f"{sum(len(codes[obj['doi']]) for obj in in_period) / papers:.6f}"],
+        ["author_diversity_mean", per_author(sum(map(_raw_diversity, unions.values())))],
+        ["paper_diversity_mean", f"{sum(_raw_diversity(codes[obj['doi']]) for obj in in_period) / papers:.6f}"],
+        ["citations_per_paper", f"{sum(age >= 0 for obj in in_period for age in ages[obj['doi']]) / papers:.6f}"],
+    ]
 
 
 def raw_author_unions(path, window, cumulative=False):

@@ -1,10 +1,12 @@
 """The code-set layer imports nothing from the layers built on it, the
-package exports no test-only code, every private name it defines is
-used, every public name and dataclass field has a reader in the package
-and every config field has a setter."""
+package exports no test-only code and declares each export once, in its
+module's ``__all__``, every private name it defines is used, every
+public name and dataclass field has a reader in the package and every
+config field has a setter."""
 
 import ast
 import dataclasses
+import importlib
 from pathlib import Path
 
 import pytest
@@ -73,8 +75,8 @@ def test_package_exports_no_single_reader_route(name):
     assert name not in pacsdiv.__all__
 
 
-def _module_private_names(tree):
-    """Names of the module-level private functions, classes and constants of a module."""
+def _module_names(tree):
+    """Names of the module-level functions, classes and constants of a module."""
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -82,11 +84,42 @@ def _module_private_names(tree):
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             names += [target.id for target in targets if isinstance(target, ast.Name)]
-    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+    return names
+
+
+def _module_private_names(tree):
+    """Names of the module-level private functions, classes and constants of a module."""
+    return [name for name in _module_names(tree) if name.startswith("_") and not name.startswith("__")]
 
 
 def _package_trees():
     return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+# the modules the package re-exports, in the order of pacsdiv.__all__
+LIBRARY_MODULES = ("cohorts", "corpus", "diversity", "errors", "taxonomy", "years")
+
+
+@pytest.mark.parametrize("module", LIBRARY_MODULES)
+def test_module_all_is_its_public_definitions(module):
+    public = [name for name in _module_names(_package_trees()[f"{module}.py"]) if not name.startswith("_")]
+    declared = importlib.import_module(f"pacsdiv.{module}").__all__
+    assert public
+    assert sorted(declared) == sorted(public)
+
+
+def test_package_exports_exactly_its_modules_all():
+    trees = _package_trees()
+    assert set(trees) == {f"{module}.py" for module in LIBRARY_MODULES} | {"__init__.py", "cli.py"}
+    joined = [name for module in LIBRARY_MODULES for name in importlib.import_module(f"pacsdiv.{module}").__all__]
+    assert pacsdiv.__all__ == joined
+    assert len(set(joined)) == len(joined)
+    # no name is declared a second time in __init__.py, as a definition or as an import
+    init = trees["__init__.py"]
+    bound = _module_names(init) + [
+        alias.asname or alias.name for node in init.body if isinstance(node, ast.ImportFrom) for alias in node.names
+    ]
+    assert [name for name in bound if not name.startswith("_") and name != "*"] == []
 
 
 def _read_names(trees):

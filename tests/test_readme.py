@@ -49,6 +49,26 @@ def test_readme_commands_table_is_the_registry():
     assert rows == [(name, builder.__doc__) for name, builder in COMMANDS.items()]
 
 
+def test_readme_options_table_is_the_parser():
+    from pacsdiv.cli import DEFAULTS, OUT_DIR_ENV, _build_parser
+
+    section = README.read_text(encoding="utf-8").split("\n## Options\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(--[^`]+)` \| (.+?) \| .+ \|$", section, re.MULTILINE)
+    commands = next(action for action in _build_parser()._actions if action.dest == "command")
+    # every command takes the same flags
+    flags = [action for action in commands.choices["summary"]._actions if action.dest != "help"]
+    # settings DEFAULTS has no value for, or whose None the run resolves
+    documented = {"input": "—", "out_dir": f"`${OUT_DIR_ENV}` or `.`", "config": "—", "period": "full corpus span"}
+
+    def default_cell(dest):
+        if dest in documented:
+            return documented[dest]
+        return "off" if DEFAULTS[dest] is False else f"`{DEFAULTS[dest]}`"
+
+    assert flags
+    assert rows == [(action.option_strings[0], default_cell(action.dest)) for action in flags]
+
+
 def test_readme_counter_table_is_ingest_stats():
     from pacsdiv import IngestStats
 
