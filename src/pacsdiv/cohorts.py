@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .corpus import AuthorId, Corpus, PaperRecord
 from .diversity import weitzman_diversity
@@ -148,20 +148,32 @@ SHARE_KEY_SCHEME = _integer_key_scheme("9+")
 
 def _active_author_unions(
     corpus: Corpus, window: YearRange, cumulative: bool
-) -> dict[AuthorId, set[PacsCode]]:
-    """Union of codes per author active in the window (>= 1 paper).
+) -> Iterator[tuple[AuthorId, set[PacsCode]]]:
+    """Each author active in the window (>= 1 paper), with their union of codes.
 
-    The union holds the window's papers' codes; ``cumulative`` widens it
-    to everything from the corpus start through window.end.
+    Pairs come as ``Corpus.author_unions`` yields them, one fresh set at
+    a time. The union holds the window's papers' codes; ``cumulative``
+    makes it a new set that also holds the author's codes from every
+    year before the window, so it covers the corpus start through
+    window.end. No set is widened in place.
     """
     unions = corpus.author_unions(window)
-    if cumulative and unions:
-        for record in corpus.papers.values():
-            if record.pub_year < window.start:
-                for author in record.authors:
-                    if author in unions:
-                        unions[author].update(record.pacs)
-    return unions
+    if not cumulative:
+        yield from unions
+        return
+    active = {author for record in corpus.papers_in(window) for author in record.authors}
+    # the active authors' shared code tuples from before the window
+    earlier: dict[AuthorId, list[tuple[PacsCode, ...]]] = {}
+    for record in corpus.papers.values():
+        if record.pub_year < window.start:
+            for author in record.authors:
+                if author in active:
+                    earlier.setdefault(author, []).append(record.pacs)
+    for author, union in unions:
+        tuples = earlier.pop(author, None)
+        if tuples:
+            union = union.union(*tuples)
+        yield author, union
 
 
 def _author_groups(
@@ -171,10 +183,9 @@ def _author_groups(
     cumulative: bool,
     include_zero_pacs: bool,
 ) -> dict[AuthorId, str]:
-    unions = _active_author_unions(corpus, window, cumulative)
     divs = {
         author: weitzman_diversity(union)
-        for author, union in unions.items()
+        for author, union in _active_author_unions(corpus, window, cumulative)
         if union or include_zero_pacs
     }
     # authors share few distinct diversities: look each one's label up once

@@ -31,7 +31,10 @@ can skip them as data errors.
 The per-period measures live here too: they apply the code-set kernel of
 ``diversity`` to in-period papers' codes and to ``Corpus.author_unions``.
 A paper's diversity is the kernel on ``record.pacs``, an author's the
-kernel on their entry in ``author_unions(window)``.
+kernel on the union ``author_unions(window)`` pairs them with. Those
+unions are built one author at a time from the records' shared code
+tuples, and each table measures one and drops it before the next, so no
+table holds every author's union at once.
 """
 
 from __future__ import annotations
@@ -140,7 +143,8 @@ class Corpus:
     each citing pub_year minus the cited one, one per reference, in file
     order of the citing papers, negative ages included. DOIs nobody cites
     have no entry. Nothing per author is stored: ``author_unions`` derives
-    it from the records. Treat every container as frozen.
+    each author's codes from the records when asked, one author at a
+    time. Treat every container as frozen.
     """
 
     papers: Mapping[str, PaperRecord]
@@ -159,19 +163,26 @@ class Corpus:
             if record.pub_year in period:
                 yield record
 
-    def author_unions(self, period: YearRange) -> dict[AuthorId, set[PacsCode]]:
-        """Union of PACS codes per author over the papers published in ``period``.
+    def author_unions(self, period: YearRange) -> Iterator[tuple[AuthorId, set[PacsCode]]]:
+        """Each author on a paper published in ``period``, with the union of its codes.
 
-        Every author on at least one in-period paper has an entry, in
-        order of first appearance; one whose in-period papers carry no
-        code maps to an empty set. The sets are fresh, so callers may
-        widen them.
+        Pairs come in order of first appearance; an author whose
+        in-period papers carry no code gets an empty set. The index
+        behind them holds only references to the records' shared ``pacs``
+        tuples, which are read-only. Each union is a fresh set built as
+        its pair is yielded, so no more than the caller keeps is alive.
         """
-        unions: dict[AuthorId, set[PacsCode]] = {}
+        code_sets: dict[AuthorId, list[tuple[PacsCode, ...]]] = {}
         for record in self.papers_in(period):
+            codes = record.pacs
             for author in record.authors:
-                unions.setdefault(author, set()).update(record.pacs)
-        return unions
+                tuples = code_sets.get(author)
+                if tuples is None:
+                    code_sets[author] = [codes]
+                else:
+                    tuples.append(codes)
+        for author, tuples in code_sets.items():
+            yield author, set().union(*tuples)
 
 
 _REQUIRED_FIELDS = ("doi", "title", "authors", "date", "pacs", "refs")
@@ -531,7 +542,8 @@ def _distributions(
     papers = [record.pacs for record in corpus.papers_in(period)]
     if not papers:
         raise EmptyPeriod(f"no papers in {period.label}")
-    unions = corpus.author_unions(period).values()
+    # one author's union at a time: each is measured, then dropped
+    unions = (union for _, union in corpus.author_unions(period))
     return tuple(
         _histogram(measure(codes) for codes in sets if codes or include_zero_pacs)
         for sets in (unions, papers)
@@ -604,7 +616,6 @@ def corpus_summary(corpus: Corpus, period: YearRange) -> SummaryStats:
     if not in_period:
         raise EmptyPeriod(f"no papers in {period.label}")
 
-    unions = corpus.author_unions(period)
     total_authors_listed = 0
     total_codes = 0
     total_paper_div = 0
@@ -617,15 +628,20 @@ def corpus_summary(corpus: Corpus, period: YearRange) -> SummaryStats:
             if age >= 0:
                 total_citations += 1
 
+    n_authors = total_author_codes = total_author_div = 0
+    # last, so the final author's union lives only until the return
+    for _, union in corpus.author_unions(period):
+        n_authors += 1
+        total_author_codes += len(union)
+        total_author_div += weitzman_diversity(union)
+
     n_papers = len(in_period)
-    n_authors = len(unions)
-    total_author_div = sum(weitzman_diversity(union) for union in unions.values())
     return SummaryStats(
         papers=n_papers,
         authors=n_authors,
         papers_per_author=total_authors_listed / n_authors if n_authors else 0.0,
         authors_per_paper=total_authors_listed / n_papers,
-        codes_per_author=sum(len(u) for u in unions.values()) / n_authors if n_authors else 0.0,
+        codes_per_author=total_author_codes / n_authors if n_authors else 0.0,
         codes_per_paper=total_codes / n_papers,
         author_diversity_mean=total_author_div / n_authors if n_authors else 0.0,
         paper_diversity_mean=total_paper_div / n_papers,

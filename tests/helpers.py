@@ -14,7 +14,7 @@ import datetime
 import json
 import random
 import re
-from itertools import permutations
+from itertools import accumulate, permutations
 from typing import Iterable
 
 from pacsdiv import PacsCode
@@ -500,6 +500,56 @@ def raw_author_unions(path, window, cumulative=False):
     return unions
 
 
+def raw_group_tables(path, settings):
+    """The ``groups`` and ``flows`` CSV rows of a lenient load, from the raw bytes.
+
+    ``settings`` holds ``windows``, a list of distinct half-open
+    (start, end) pairs in flag order; ``starts``, the ascending lower
+    bounds of the G1..Gn diversity groups, the first 0 and the last
+    open-ended; and the booleans ``cumulative`` and
+    ``include_zero_pacs``. An author's diversity in a window is
+    ``block_count_diversity`` of their ``raw_author_unions`` entry.
+    Returns {command: (exit code, rows as written or None)}.
+    """
+    windows, starts = settings["windows"], settings["starts"]
+    labels = [f"G{i}" for i in range(1, len(starts) + 1)]
+
+    def group(texts):
+        diversity = _raw_diversity(texts)
+        return labels[max(i for i, start in enumerate(starts) if start <= diversity)]
+
+    per_window = []
+    for window in windows:
+        unions = raw_author_unions(path, window, cumulative=settings["cumulative"])
+        per_window.append(
+            {name: group(texts) for name, texts in unions.items() if texts or settings["include_zero_pacs"]}
+        )
+    labelled = [(f"{start}-{end}", groups) for (start, end), groups in zip(windows, per_window)]
+    groups_rows = [
+        [label] + [f"{list(groups.values()).count(g) / len(groups):.6f}" for g in labels]
+        for label, groups in labelled
+        if groups
+    ]
+    tables = {"groups": (0, groups_rows)}
+    if len(windows) < 2:
+        tables["flows"] = (2, None)
+    elif any(later[0] < earlier[1] for earlier, later in zip(windows, windows[1:])):
+        tables["flows"] = (8, None)
+    else:
+        flows_rows = []
+        for (from_label, before), (to_label, after) in zip(labelled, labelled[1:]):
+            pair = [from_label, to_label]
+            moved = [(before[name], after[name]) for name in before if name in after]
+            for g in labels:
+                flows_rows += [pair + ["flow", g, h, str(moved.count((g, h)))] for h in labels]
+            entrants = [after[name] for name in after if name not in before]
+            flows_rows += [pair + ["entrants", "", h, str(entrants.count(h))] for h in labels]
+            leavers = [before[name] for name in before if name not in after]
+            flows_rows += [pair + ["leavers", g, "", str(leavers.count(g))] for g in labels]
+        tables["flows"] = (0, flows_rows)
+    return tables
+
+
 _NAMES = ("alice adams", "bob brown", "carol chen", "david müller", "erin evans", "frank fox")
 
 
@@ -608,12 +658,15 @@ def _json_strings(items):
     return '["' + '", "'.join(items) + '"]' if items else "[]"
 
 
-def synth_corpus(path, n_records, seed=7, dangling_every=997):
+def synth_corpus(path, n_records, seed=7, dangling_every=997, heavy_tailed=False):
     """Write a deterministic synthetic corpus of n_records JSON lines.
 
     Years climb from 1985 across 25 calendar years, refs point at
     earlier records only (plus a sprinkle of dangling targets), authors
-    come from a pool sized to give a few papers per author.
+    come from a pool sized to give a few papers per author. With
+    ``heavy_tailed``, author productivity follows a Pareto(0.8) curve
+    capped at 250 papers' weight instead: most authors write one paper
+    and a few write hundreds, whose code unions grow large.
 
     Each line is what ``json.dumps`` gives for the record, written
     directly. ``below(n)`` draws what ``rng.randrange(n)`` does, and
@@ -625,6 +678,10 @@ def synth_corpus(path, n_records, seed=7, dangling_every=997):
     n_authors = max(10, n_records // 3)
     counts = rng.choices(range(9), weights=_CODE_COUNT_WEIGHTS, k=n_records)
     texts = [code.text for code in CODE_POOL]
+    pareto = None
+    if heavy_tailed:
+        weights = (min(250.0, ((i + 0.5) / n_authors) ** (-1 / 0.8)) for i in range(n_authors))
+        pareto = (range(n_authors), list(accumulate(weights)))
     with open(path, "w", encoding="utf-8") as handle:
         for i in range(n_records):
             year = 1985 + (i * 25) // n_records
@@ -632,7 +689,10 @@ def synth_corpus(path, n_records, seed=7, dangling_every=997):
             refs = [f"10.s/{below(i)}" for _ in range(below(6))] if i else []
             if i % dangling_every == 1:
                 refs.append("10.s/nowhere")
-            authors = [f"author {below(n_authors)}" for _ in range(1 + below(4))]
+            if pareto is None:
+                authors = [f"author {below(n_authors)}" for _ in range(1 + below(4))]
+            else:
+                authors = [f"author {a}" for a in rng.choices(pareto[0], cum_weights=pareto[1], k=1 + below(4))]
             date = f"{year}-{1 + below(12):02d}-{1 + below(28):02d}"
             pacs = [f"{text}.{'abcdefgh'[below(8)]}x" for text in codes]
             handle.write(

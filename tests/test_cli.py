@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from pacsdiv import cli
 from pacsdiv.cli import _CONFIG_TYPES, DEFAULTS, main
 from conftest import ALL_COMMANDS, GOLDEN_ARGS, GOLDEN_DIR, paper, write_jsonl
-from helpers import messy_corpus, raw_citation_tables, raw_ingest_recount
+from helpers import messy_corpus, raw_citation_tables, raw_group_tables, raw_ingest_recount
 
 
 def run_cli(command, fixture_path, out_dir, *extra):
@@ -457,6 +457,65 @@ def test_citation_tables_match_raw_recount(seed, n_records, horizon, split, incl
                 assert code == (6 if command in ("summary", "citation-age") else 7), command
                 continue
             assert code == 0, command
+            with open(Path(tmp) / f"{command}.csv", newline="", encoding="utf-8") as handle:
+                written = list(csv.reader(handle))[1:]
+            assert written == rows, command
+
+
+def _chained(first, steps):
+    """Windows that follow one another from ``first``: each (gap, length) step adds one."""
+    windows, year = [], first
+    for gap, length in steps:
+        windows.append((year + gap, year + gap + length))
+        year += gap + length
+    return windows
+
+
+# distinct windows around the messy corpora's 1990-2001: two to four
+# chronological and disjoint ones, as flows takes them, or one to four
+# in any order, overlapping too, as only groups takes them
+_WINDOWS = st.one_of(
+    st.builds(_chained, st.integers(1988, 1995), st.lists(st.tuples(st.integers(0, 2), st.integers(1, 4)), min_size=2, max_size=4)),
+    st.lists(
+        st.builds(lambda start, length: (start, start + length), st.integers(1988, 2002), st.integers(1, 6)),
+        min_size=1, max_size=4, unique=True,
+    ),
+)
+# ascending group lower bounds after the first group's 0
+_GROUP_STARTS = st.lists(st.integers(1, 12), max_size=3, unique=True).map(lambda cuts: [0, *sorted(cuts)])
+
+
+def _group_spec(starts):
+    """The --groups text of ascending lower bounds: "0-2,3-5,6+" for [0, 3, 6]."""
+    closed = [f"{lo}-{hi - 1}" for lo, hi in zip(starts, starts[1:])]
+    return ",".join([*closed, f"{starts[-1]}+"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_records=st.integers(20, 150),
+    windows=_WINDOWS,
+    starts=_GROUP_STARTS,
+    cumulative=st.booleans(),
+    include_zero_pacs=st.booleans(),
+)
+def test_group_tables_match_raw_recount(seed, n_records, windows, starts, cumulative, include_zero_pacs):
+    flags = [
+        "--lenient",
+        "--windows", ",".join(f"{a}-{b}" for a, b in windows),
+        "--groups", _group_spec(starts),
+        "--author-mode", "cumulative" if cumulative else "windowed",
+    ]
+    if include_zero_pacs:
+        flags.append("--include-zero-pacs")
+    recount = {"windows": windows, "starts": starts, "cumulative": cumulative, "include_zero_pacs": include_zero_pacs}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = messy_corpus(Path(tmp) / "messy.jsonl", n_records, seed)
+        for command, (code, rows) in raw_group_tables(path, recount).items():
+            assert main([command, "--input", str(path), "--out-dir", tmp, *flags]) == code, command
+            if rows is None:
+                continue
             with open(Path(tmp) / f"{command}.csv", newline="", encoding="utf-8") as handle:
                 written = list(csv.reader(handle))[1:]
             assert written == rows, command

@@ -1,4 +1,6 @@
+import gc
 import inspect
+import tracemalloc
 
 import pytest
 
@@ -17,17 +19,19 @@ from pacsdiv import (
     citation_distribution_by_diversity,
     citations_by_age,
     citations_by_diversity,
+    corpus_summary,
     diversity_distributions,
     diversity_share_table,
     group_fraction_table,
     group_scheme_from_spec,
     load_corpus,
     pacs_count_distributions,
+    parse_year_ranges,
     transition_flows,
 )
 from pacsdiv.cohorts import _active_author_unions
 from conftest import paper
-from helpers import messy_corpus, raw_author_unions
+from helpers import messy_corpus, raw_author_unions, synth_corpus
 
 W1, W2, W3 = YearRange(1990, 1995), YearRange(1995, 2000), YearRange(2000, 2005)
 COHORT1, COHORT2 = YearRange(1990, 1997), YearRange(1997, 2004)
@@ -211,10 +215,47 @@ def test_author_unions_match_raw_recount(tmp_path, seed):
     for window in [YearRange(y, y + 1) for y in range(1990, 2002)] + [YearRange(1990, 2002)]:
         years = (window.start, window.end)
         windowed = list(raw_author_unions(path, years).items())
-        assert _code_texts(corpus.author_unions(window)) == windowed
-        assert _code_texts(_active_author_unions(corpus, window, False)) == windowed
+        assert _code_texts(dict(corpus.author_unions(window))) == windowed
+        assert _code_texts(dict(_active_author_unions(corpus, window, False))) == windowed
         cumulative = list(raw_author_unions(path, years, cumulative=True).items())
-        assert _code_texts(_active_author_unions(corpus, window, True)) == cumulative
+        assert _code_texts(dict(_active_author_unions(corpus, window, True))) == cumulative
+
+
+def _traced(build):
+    """(current, peak) bytes traced while ``build()`` runs, its result still alive."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        kept = build()  # alive while current is read, so it counts
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def heavy_corpus(tmp_path_factory):
+    # a few prolific authors own most codes, so holding every author's
+    # union at once costs far more than one union and the shared tuples
+    path = tmp_path_factory.mktemp("heavy") / "heavy.jsonl"
+    return load_corpus(synth_corpus(path, 4000, seed=5, heavy_tailed=True))
+
+
+_MEASURED_AT_A_TIME = {
+    "corpus_summary": corpus_summary,
+    "diversity_distributions": lambda corpus, span: diversity_distributions(corpus, span, include_zero_pacs=False),
+    "cumulative_transition_flows": lambda corpus, span: transition_flows(
+        corpus, parse_year_ranges("1985-90,1990-95,1995-00,2000-05,2005-10"), GROUPS,
+        cumulative=True, include_zero_pacs=False,
+    ),
+}
+
+
+@pytest.mark.parametrize("table", sorted(_MEASURED_AT_A_TIME))
+def test_tables_hold_one_author_union_at_a_time(heavy_corpus, table):
+    span = heavy_corpus.year_span()
+    all_unions, _ = _traced(lambda: dict(heavy_corpus.author_unions(span)))
+    _, peak = _traced(lambda: _MEASURED_AT_A_TIME[table](heavy_corpus, span))
+    assert peak < all_unions / 2, (peak, all_unions)
 
 
 def test_flows_need_two_windows(fixture_corpus):
