@@ -4,7 +4,8 @@ Every command loads the corpus, computes one table, and writes it to
 ``<command>.<format>`` plus a ``<command>.meta.json`` sidecar recording
 the resolved configuration, the sha256 and size of the input bytes that
 were loaded and the tool version. Writes are atomic (temp file + rename)
-and all orderings are explicitly sorted, so identical input and
+and give each file the mode a plain ``open`` would (0644 under umask
+022). All orderings are explicitly sorted, so identical input and
 configuration produce byte-identical outputs on every run.
 
 Once loaded, the corpus is moved to the collector's frozen generation
@@ -157,6 +158,10 @@ def _atomic_write(path: Path, payload: bytes) -> None:
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(payload)
+        # mkstemp makes the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -11,8 +11,9 @@ Every table takes its settings explicitly; the library holds no
 default of its own. Group membership rests on WINDOWED author diversity
 -- the union of codes within that window only -- unless ``cumulative``
 is set, which takes codes from the start of the corpus through the
-window's end. Cumulative unions only grow, so they can never flow
-toward lower groups.
+window's end. Both unions come from ``Corpus.author_unions``, which
+this module passes the flag to. Cumulative unions only grow, so they
+can never flow toward lower groups.
 
 Papers without any PACS code are excluded from diversity-keyed tables
 unless ``include_zero_pacs`` is set, which admits them as diversity 0.
@@ -24,12 +25,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .corpus import AuthorId, Corpus, PaperRecord
 from .diversity import weitzman_diversity
 from .errors import ConfigError, EmptyCohort, EmptyPeriod, OverlappingWindows
-from .taxonomy import PacsCode
 from .years import YearRange
 
 __all__ = [
@@ -146,36 +146,6 @@ CITATION_KEY_SCHEME = _integer_key_scheme("8+")
 SHARE_KEY_SCHEME = _integer_key_scheme("9+")
 
 
-def _active_author_unions(
-    corpus: Corpus, window: YearRange, cumulative: bool
-) -> Iterator[tuple[AuthorId, set[PacsCode]]]:
-    """Each author active in the window (>= 1 paper), with their union of codes.
-
-    Pairs come as ``Corpus.author_unions`` yields them, one fresh set at
-    a time. The union holds the window's papers' codes; ``cumulative``
-    makes it a new set that also holds the author's codes from every
-    year before the window, so it covers the corpus start through
-    window.end. No set is widened in place.
-    """
-    unions = corpus.author_unions(window)
-    if not cumulative:
-        yield from unions
-        return
-    active = {author for record in corpus.papers_in(window) for author in record.authors}
-    # the active authors' shared code tuples from before the window
-    earlier: dict[AuthorId, list[tuple[PacsCode, ...]]] = {}
-    for record in corpus.papers.values():
-        if record.pub_year < window.start:
-            for author in record.authors:
-                if author in active:
-                    earlier.setdefault(author, []).append(record.pacs)
-    for author, union in unions:
-        tuples = earlier.pop(author, None)
-        if tuples:
-            union = union.union(*tuples)
-        yield author, union
-
-
 def _author_groups(
     corpus: Corpus,
     window: YearRange,
@@ -185,7 +155,7 @@ def _author_groups(
 ) -> dict[AuthorId, str]:
     divs = {
         author: weitzman_diversity(union)
-        for author, union in _active_author_unions(corpus, window, cumulative)
+        for author, union in corpus.author_unions(window, cumulative=cumulative)
         if union or include_zero_pacs
     }
     # authors share few distinct diversities: look each one's label up once

@@ -31,8 +31,10 @@ can skip them as data errors.
 The per-period measures live here too: they apply the code-set kernel of
 ``diversity`` to in-period papers' codes and to ``Corpus.author_unions``.
 A paper's diversity is the kernel on ``record.pacs``, an author's the
-kernel on the union ``author_unions(window)`` pairs them with. Those
-unions are built one author at a time from the records' shared code
+kernel on the union ``author_unions`` pairs them with, over one window
+or, cumulatively, from the corpus start through its end. That method is
+the one per-author index of the package, for every table in both modes.
+Its unions are built one author at a time from the records' shared code
 tuples, and each table measures one and drops it before the next, so no
 table holds every author's union at once.
 """
@@ -163,14 +165,21 @@ class Corpus:
             if record.pub_year in period:
                 yield record
 
-    def author_unions(self, period: YearRange) -> Iterator[tuple[AuthorId, set[PacsCode]]]:
+    def author_unions(
+        self, period: YearRange, *, cumulative: bool
+    ) -> Iterator[tuple[AuthorId, set[PacsCode]]]:
         """Each author on a paper published in ``period``, with the union of its codes.
 
-        Pairs come in order of first appearance; an author whose
-        in-period papers carry no code gets an empty set. The index
-        behind them holds only references to the records' shared ``pacs``
-        tuples, which are read-only. Each union is a fresh set built as
-        its pair is yielded, so no more than the caller keeps is alive.
+        Pairs come in order of first appearance in ``period``; an author
+        whose papers carry no code gets an empty set. The union holds the
+        codes of the author's papers in ``period`` and, with
+        ``cumulative``, of their papers from every year before it, so it
+        covers the corpus start through ``period.end``. That is one scan
+        of the period, plus one over the earlier papers when cumulative.
+        The index behind the pairs holds only references to the records'
+        shared ``pacs`` tuples, which are read-only. Each union is a
+        fresh set built as its pair is yielded, so no more than the
+        caller keeps is alive.
         """
         code_sets: dict[AuthorId, list[tuple[PacsCode, ...]]] = {}
         for record in self.papers_in(period):
@@ -181,6 +190,13 @@ class Corpus:
                     code_sets[author] = [codes]
                 else:
                     tuples.append(codes)
+        if cumulative:
+            for record in self.papers.values():
+                if record.pub_year < period.start:
+                    for author in record.authors:
+                        tuples = code_sets.get(author)
+                        if tuples is not None:
+                            tuples.append(record.pacs)
         for author, tuples in code_sets.items():
             yield author, set().union(*tuples)
 
@@ -543,7 +559,7 @@ def _distributions(
     if not papers:
         raise EmptyPeriod(f"no papers in {period.label}")
     # one author's union at a time: each is measured, then dropped
-    unions = (union for _, union in corpus.author_unions(period))
+    unions = (union for _, union in corpus.author_unions(period, cumulative=False))
     return tuple(
         _histogram(measure(codes) for codes in sets if codes or include_zero_pacs)
         for sets in (unions, papers)
@@ -630,7 +646,7 @@ def corpus_summary(corpus: Corpus, period: YearRange) -> SummaryStats:
 
     n_authors = total_author_codes = total_author_div = 0
     # last, so the final author's union lives only until the return
-    for _, union in corpus.author_unions(period):
+    for _, union in corpus.author_unions(period, cumulative=False):
         n_authors += 1
         total_author_codes += len(union)
         total_author_div += weitzman_diversity(union)

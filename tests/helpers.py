@@ -357,6 +357,11 @@ def _raw_key(diversity):
     return str(diversity) if diversity <= 8 else "8+"
 
 
+def _raw_share_key(diversity):
+    """The ``share`` table's keying: "0".."8", everything above pooled as "9+"."""
+    return str(diversity) if diversity <= 8 else "9+"
+
+
 def _raw_band(diversity):
     """The default bands 0-2, 3-5 and 6+."""
     return "low" if diversity <= 2 else "medium" if diversity <= 5 else "high"
@@ -380,9 +385,10 @@ def raw_citation_tables(path, cohorts, horizon, include_zero_pacs=False, period=
     ``block_count_diversity``. ``cohorts`` is a list of half-open
     (start, end) pairs and ``period`` one such pair, or None for the
     corpus's full year span. Returns the CSV cells, as written, of every
-    row of ``summary``, ``citation-age``, ``diversity-citations`` and
-    ``citation-dist``; the first two are None when the period holds no
-    paper, the last two when a cohort holds no keyed paper.
+    row of ``summary``, ``pacs-coverage``, ``citation-age``,
+    ``diversity-citations``, ``citation-dist`` and ``share``; ``summary``
+    and ``citation-age`` are None when the period holds no paper, the
+    last three when a cohort holds no keyed paper.
     """
     accepted, _ = _raw_accepted(path)
     year = {obj["doi"]: _raw_year(obj["date"]) for obj in accepted}
@@ -411,18 +417,29 @@ def raw_citation_tables(path, cohorts, horizon, include_zero_pacs=False, period=
     if period is None and year:
         period = (min(year.values()), max(year.values()) + 1)
     in_period = [obj for obj in accepted if period and period[0] <= year[obj["doi"]] < period[1]]
+    by_year = {}
+    for doi, paper_year in year.items():
+        by_year.setdefault(paper_year, []).append(doi)
     tables = {
         "summary": _raw_summary(in_period, codes, ages) if in_period else None,
+        "pacs-coverage": [
+            [str(paper_year), f"{sum(bool(codes[doi]) for doi in dois) / len(dois):.6f}"]
+            for paper_year, dois in sorted(by_year.items())
+        ],
         "citation-age": series([obj["doi"] for obj in in_period]) if in_period else None,
         "diversity-citations": [],
         "citation-dist": [],
+        "share": [[str(i)] for i in range(9)] + [["9+"]],
     }
     for start, end in cohorts:
         label = f"{start}-{end}"
         keyed = [doi for doi in diversity if start <= year[doi] < end]
         if not keyed:
-            tables["diversity-citations"] = tables["citation-dist"] = None
+            tables["diversity-citations"] = tables["citation-dist"] = tables["share"] = None
             break
+        share_keys = [_raw_share_key(diversity[doi]) for doi in keyed]
+        for row in tables["share"]:
+            row.append(f"{100.0 * share_keys.count(row[0]) / len(keyed):.6f}")
         for keying, key_of in (("integer", _raw_key), ("band", _raw_band)):
             by_key = {}
             for doi in keyed:

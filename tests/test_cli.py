@@ -684,6 +684,38 @@ def test_author_mode_flag(fixture_path, tmp_path, capsys):
     assert rows[2] == "1995-2000,0.200000,0.400000,0.400000,0.000000"
 
 
+def test_cumulative_flows_scan_each_window_once(fixture_path, tmp_path, monkeypatch, capsys):
+    # cumulative unions add one pass over earlier papers, not a second
+    # scan of each window
+    calls = []
+    papers_in = cli.Corpus.papers_in
+
+    def counting_papers_in(corpus, period):
+        calls.append(period)
+        return papers_in(corpus, period)
+
+    monkeypatch.setattr(cli.Corpus, "papers_in", counting_papers_in)
+    counts = {}
+    for mode in ("windowed", "cumulative"):
+        calls.clear()
+        argv = ["flows", "--input", str(fixture_path), "--out-dir", str(tmp_path), "--author-mode", mode]
+        assert main(argv) == 0
+        counts[mode] = len(calls)
+    assert counts["cumulative"] <= counts["windowed"] == 5
+
+
+def test_outputs_get_the_mode_open_would_give(fixture_path, tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(fixture_path.read_text() + "garbage\n")
+    umask = os.umask(0o022)
+    try:
+        assert main(["validate", "--input", str(corpus), "--out-dir", str(tmp_path / "out")]) == 0
+    finally:
+        os.umask(umask)
+    modes = {p.name: p.stat().st_mode & 0o777 for p in (tmp_path / "out").iterdir()}
+    assert modes == dict.fromkeys(["validate.csv", "validate.meta.json", "validate.dropped.json"], 0o644)
+
+
 @pytest.mark.parametrize("below", ["", "sub"], ids=["is-a-file", "under-a-file"])
 def test_unwritable_out_dir_exit_code(below, fixture_path, tmp_path, capsys):
     (tmp_path / "F").write_text("")

@@ -8,6 +8,7 @@ from pacsdiv import (
     CITATION_KEY_SCHEME,
     SHARE_KEY_SCHEME,
     ConfigError,
+    Corpus,
     DiversityGroupScheme,
     EmptyCohort,
     EmptyPeriod,
@@ -29,7 +30,6 @@ from pacsdiv import (
     parse_year_ranges,
     transition_flows,
 )
-from pacsdiv.cohorts import _active_author_unions
 from conftest import paper
 from helpers import messy_corpus, raw_author_unions, synth_corpus
 
@@ -189,6 +189,7 @@ def test_flow_conservation(fixture_corpus):
         citation_distribution_by_diversity,
         pacs_count_distributions,
         diversity_distributions,
+        Corpus.author_unions,
     ],
 )
 def test_table_flags_are_required_keywords(table):
@@ -215,10 +216,9 @@ def test_author_unions_match_raw_recount(tmp_path, seed):
     for window in [YearRange(y, y + 1) for y in range(1990, 2002)] + [YearRange(1990, 2002)]:
         years = (window.start, window.end)
         windowed = list(raw_author_unions(path, years).items())
-        assert _code_texts(dict(corpus.author_unions(window))) == windowed
-        assert _code_texts(dict(_active_author_unions(corpus, window, False))) == windowed
+        assert _code_texts(dict(corpus.author_unions(window, cumulative=False))) == windowed
         cumulative = list(raw_author_unions(path, years, cumulative=True).items())
-        assert _code_texts(dict(_active_author_unions(corpus, window, True))) == cumulative
+        assert _code_texts(dict(corpus.author_unions(window, cumulative=True))) == cumulative
 
 
 def _traced(build):
@@ -253,7 +253,7 @@ _MEASURED_AT_A_TIME = {
 @pytest.mark.parametrize("table", sorted(_MEASURED_AT_A_TIME))
 def test_tables_hold_one_author_union_at_a_time(heavy_corpus, table):
     span = heavy_corpus.year_span()
-    all_unions, _ = _traced(lambda: dict(heavy_corpus.author_unions(span)))
+    all_unions, _ = _traced(lambda: dict(heavy_corpus.author_unions(span, cumulative=False)))
     _, peak = _traced(lambda: _MEASURED_AT_A_TIME[table](heavy_corpus, span))
     assert peak < all_unions / 2, (peak, all_unions)
 

@@ -154,7 +154,7 @@ def _mini_corpus(corpus_file):
 
 
 def _author_diversity(corpus, name, window):
-    return weitzman_diversity(dict(corpus.author_unions(window)).get(name, set()))
+    return weitzman_diversity(dict(corpus.author_unions(window, cumulative=False)).get(name, set()))
 
 
 def test_author_diversity_windowed(corpus_file):
