@@ -182,19 +182,7 @@ def _period(cfg: RunConfig) -> YearRange:
 
 def build_summary(corpus: Corpus, cfg: RunConfig) -> Table:
     """corpus-level averages over a period"""
-    stats = corpus_summary(corpus, _period(cfg))
-    rows = (
-        ("papers", stats.papers),
-        ("authors", stats.authors),
-        ("papers_per_author", stats.papers_per_author),
-        ("authors_per_paper", stats.authors_per_paper),
-        ("pacs_codes_per_author", stats.codes_per_author),
-        ("pacs_codes_per_paper", stats.codes_per_paper),
-        ("author_diversity_mean", stats.author_diversity_mean),
-        ("paper_diversity_mean", stats.paper_diversity_mean),
-        ("citations_per_paper", stats.citations_per_paper),
-    )
-    return Table(("statistic", "value"), rows)
+    return Table(("statistic", "value"), tuple(corpus_summary(corpus, _period(cfg)).items()))
 
 
 def build_pacs_coverage(corpus: Corpus, cfg: RunConfig) -> Table:

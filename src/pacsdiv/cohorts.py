@@ -25,9 +25,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from itertools import accumulate
+from typing import Mapping, Sequence
 
-from .corpus import AuthorId, Corpus, PaperRecord
+from .corpus import Corpus, PaperRecord
 from .diversity import weitzman_diversity
 from .errors import ConfigError, EmptyCohort, EmptyPeriod, OverlappingWindows
 from .years import YearRange
@@ -90,6 +91,13 @@ def assign_group(diversity: int, scheme: DiversityGroupScheme) -> str:
     raise AssertionError("scheme invariants guarantee coverage")
 
 
+def _bound(text: str) -> int:
+    """A scheme bound: one or more ASCII digits."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 def _parse_bounds(text: str) -> tuple[tuple[int, int | None], ...]:
     bounds: list[tuple[int, int | None]] = []
     for token in text.split(","):
@@ -98,12 +106,12 @@ def _parse_bounds(text: str) -> tuple[tuple[int, int | None], ...]:
             continue
         try:
             if token.endswith("+"):
-                bounds.append((int(token[:-1]), None))
+                bounds.append((_bound(token[:-1]), None))
             elif "-" in token:
                 lo, hi = token.split("-", 1)
-                bounds.append((int(lo), int(hi)))
+                bounds.append((_bound(lo), _bound(hi)))
             else:
-                value = int(token)
+                value = _bound(token)
                 bounds.append((value, value))
         except ValueError:
             raise ConfigError(f"bad interval {token!r}") from None
@@ -152,7 +160,7 @@ def _author_groups(
     scheme: DiversityGroupScheme,
     cumulative: bool,
     include_zero_pacs: bool,
-) -> dict[AuthorId, str]:
+) -> dict[str, str]:
     divs = {
         author: weitzman_diversity(union)
         for author, union in corpus.author_unions(window, cumulative=cumulative)
@@ -278,28 +286,20 @@ class SeriesEntry:
     cumulative_mean: tuple[float, ...]
 
 
-def _series_entry(paper_count: int, counts: list[int]) -> SeriesEntry:
-    means = [c / paper_count for c in counts]
-    cumulative: list[float] = []
-    running = 0.0
-    for m in means:
-        running += m
-        cumulative.append(running)
-    return SeriesEntry(
-        paper_count=paper_count,
-        citations_per_age=tuple(counts),
-        mean_per_age=tuple(means),
-        cumulative_mean=tuple(cumulative),
-    )
-
-
-def _age_counts(corpus: Corpus, records: Iterable[PaperRecord], horizon: int) -> list[int]:
+def _series_entry(corpus: Corpus, records: Sequence[PaperRecord], horizon: int) -> SeriesEntry:
+    """The citation trajectory of ``records`` over ages 0..horizon."""
     counts = [0] * (horizon + 1)
     for record in records:
         for age in corpus.citations_in.get(record.doi, ()):
             if 0 <= age <= horizon:
                 counts[age] += 1
-    return counts
+    means = tuple(c / len(records) for c in counts)
+    return SeriesEntry(
+        paper_count=len(records),
+        citations_per_age=tuple(counts),
+        mean_per_age=means,
+        cumulative_mean=tuple(accumulate(means)),
+    )
 
 
 def citations_by_age(corpus: Corpus, period: YearRange, horizon: int) -> SeriesEntry:
@@ -315,7 +315,7 @@ def citations_by_age(corpus: Corpus, period: YearRange, horizon: int) -> SeriesE
     records = list(corpus.papers_in(period))
     if not records:
         raise EmptyPeriod(f"no papers in {period.label}")
-    return _series_entry(len(records), _age_counts(corpus, records, horizon))
+    return _series_entry(corpus, records, horizon)
 
 
 def _cohort_diversity_keys(
@@ -326,24 +326,25 @@ def _cohort_diversity_keys(
 ) -> dict[str, list[PaperRecord]]:
     """The cohort's keyed papers per key label, keys in the scheme's order.
 
+    Within a key, papers come by ascending diversity, then in file order.
+
     Raises
     ------
     EmptyCohort
         If the cohort holds no keyed papers.
     """
-    records = [
-        r for r in corpus.papers_in(cohort) if r.pacs or include_zero_pacs
-    ]
-    divs = [weitzman_diversity(r.pacs) for r in records]
-    # a cohort holds few distinct diversities: look each one's label up once
-    labels = {diversity: assign_group(diversity, keying) for diversity in set(divs)}
-    by_key: dict[str, list[PaperRecord]] = {}
-    for record, diversity in zip(records, divs):
-        by_key.setdefault(labels[diversity], []).append(record)
-    if not by_key:
+    by_diversity: dict[int, list[PaperRecord]] = {}
+    for record in corpus.papers_in(cohort):
+        if record.pacs or include_zero_pacs:
+            by_diversity.setdefault(weitzman_diversity(record.pacs), []).append(record)
+    if not by_diversity:
         raise EmptyCohort(f"no diversity-keyed papers in {cohort.label}")
-    # deterministic key order: the scheme's own
-    return {label: by_key[label] for label in keying.labels if label in by_key}
+    # every scheme starts at 0 and ascends, so ascending diversities meet
+    # the keys in the scheme's order
+    by_key: dict[str, list[PaperRecord]] = {}
+    for diversity in sorted(by_diversity):
+        by_key.setdefault(assign_group(diversity, keying), []).extend(by_diversity[diversity])
+    return by_key
 
 
 def citations_by_diversity(
@@ -372,7 +373,7 @@ def citations_by_diversity(
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
     by_key = _cohort_diversity_keys(corpus, cohort, keying, include_zero_pacs)
     return {
-        label: _series_entry(len(records), _age_counts(corpus, records, horizon))
+        label: _series_entry(corpus, records, horizon)
         for label, records in by_key.items()
     }
 

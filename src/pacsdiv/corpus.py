@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from datetime import date
 from json.scanner import make_scanner
 from operator import itemgetter
-from typing import Any, Callable, Collection, Iterable, Iterator, Mapping, NewType
+from typing import Any, Callable, Collection, Iterable, Iterator, Mapping
 
 from .diversity import weitzman_diversity
 from .errors import DuplicateDoi, EmptyPeriod, FormatError, IoFailure, MalformedCode
@@ -57,7 +57,6 @@ from .taxonomy import PacsCode, parse_pacs
 from .years import YearRange
 
 __all__ = [
-    "AuthorId",
     "normalize_author",
     "PaperRecord",
     "IngestConfig",
@@ -67,23 +66,21 @@ __all__ = [
     "papers_with_pacs_fraction_by_year",
     "pacs_count_distributions",
     "diversity_distributions",
-    "SummaryStats",
     "corpus_summary",
 ]
 
-AuthorId = NewType("AuthorId", str)
 # a (per-author, per-paper) pair of normalized histograms
 _Histograms = tuple[dict[int, float], dict[int, float]]
 
 
-def normalize_author(raw: str) -> AuthorId:
+def normalize_author(raw: str) -> str:
     """Normalize an author name: collapse whitespace, case-fold.
 
     Diacritics are preserved; no transliteration. Idempotent, so already
     normalized identifiers pass through unchanged. Name-string identity
     is the only disambiguation the metadata supports.
     """
-    return AuthorId(" ".join(raw.split()).casefold())
+    return " ".join(raw.split()).casefold()
 
 
 class PaperRecord(namedtuple("PaperRecord", ("doi", "authors", "pub_year", "pacs"))):
@@ -167,7 +164,7 @@ class Corpus:
 
     def author_unions(
         self, period: YearRange, *, cumulative: bool
-    ) -> Iterator[tuple[AuthorId, set[PacsCode]]]:
+    ) -> Iterator[tuple[str, set[PacsCode]]]:
         """Each author on a paper published in ``period``, with the union of its codes.
 
         Pairs come in order of first appearance in ``period``; an author
@@ -181,7 +178,7 @@ class Corpus:
         fresh set built as its pair is yielded, so no more than the
         caller keeps is alive.
         """
-        code_sets: dict[AuthorId, list[tuple[PacsCode, ...]]] = {}
+        code_sets: dict[str, list[tuple[PacsCode, ...]]] = {}
         for record in self.papers_in(period):
             codes = record.pacs
             for author in record.authors:
@@ -598,23 +595,12 @@ def diversity_distributions(corpus: Corpus, period: YearRange, *, include_zero_p
     return _distributions(corpus, period, weitzman_diversity, include_zero_pacs)
 
 
-@dataclass(frozen=True, slots=True)
-class SummaryStats:
-    """Corpus-level averages over one period (whole-unit counting)."""
-
-    papers: int
-    authors: int
-    papers_per_author: float
-    authors_per_paper: float
-    codes_per_author: float
-    codes_per_paper: float
-    author_diversity_mean: float
-    paper_diversity_mean: float
-    citations_per_paper: float
-
-
-def corpus_summary(corpus: Corpus, period: YearRange) -> SummaryStats:
+def corpus_summary(corpus: Corpus, period: YearRange) -> dict[str, int | float]:
     """Descriptive statistics over the papers published in ``period``.
+
+    The nine statistics of the ``summary`` table, keyed by its row names
+    in its row order: the paper and author counts are ints, the
+    averages floats (whole-unit counting).
 
     Authors are whoever appears on at least one in-period paper; their
     code unions and diversities are taken over in-period papers only.
@@ -652,14 +638,14 @@ def corpus_summary(corpus: Corpus, period: YearRange) -> SummaryStats:
         total_author_div += weitzman_diversity(union)
 
     n_papers = len(in_period)
-    return SummaryStats(
-        papers=n_papers,
-        authors=n_authors,
-        papers_per_author=total_authors_listed / n_authors if n_authors else 0.0,
-        authors_per_paper=total_authors_listed / n_papers,
-        codes_per_author=total_author_codes / n_authors if n_authors else 0.0,
-        codes_per_paper=total_codes / n_papers,
-        author_diversity_mean=total_author_div / n_authors if n_authors else 0.0,
-        paper_diversity_mean=total_paper_div / n_papers,
-        citations_per_paper=total_citations / n_papers,
-    )
+    return {
+        "papers": n_papers,
+        "authors": n_authors,
+        "papers_per_author": total_authors_listed / n_authors if n_authors else 0.0,
+        "authors_per_paper": total_authors_listed / n_papers,
+        "pacs_codes_per_author": total_author_codes / n_authors if n_authors else 0.0,
+        "pacs_codes_per_paper": total_codes / n_papers,
+        "author_diversity_mean": total_author_div / n_authors if n_authors else 0.0,
+        "paper_diversity_mean": total_paper_div / n_papers,
+        "citations_per_paper": total_citations / n_papers,
+    }

@@ -35,18 +35,21 @@ class YearRange:
 def parse_year_range(text: str) -> YearRange:
     """Parse ``"1985-1990"`` or the short form ``"1985-90"``.
 
-    A two-digit end year is resolved against the start year's century,
-    rolling into the next century when needed ("1995-00" -> 1995-2000).
+    Each year is one or more ASCII digits. An end year of exactly two
+    digits is the short form, resolved against the start year's century
+    and rolling into the next century when needed ("1995-00" ->
+    1995-2000); a one-digit end year is no year range.
     """
     parts = text.strip().split("-")
     if len(parts) != 2:
         raise ConfigError(f"bad year range {text!r}: expected START-END")
-    try:
-        start = int(parts[0])
-        end = int(parts[1])
-    except ValueError:
-        raise ConfigError(f"bad year range {text!r}: years must be integers") from None
-    if len(parts[1]) <= 2:
+    if not all(part.isascii() and part.isdigit() for part in parts):
+        raise ConfigError(f"bad year range {text!r}: years must be ASCII digits")
+    if len(parts[1]) == 1:
+        raise ConfigError(f"bad year range {text!r}: a short-form end year has two digits")
+    start = int(parts[0])
+    end = int(parts[1])
+    if len(parts[1]) == 2:
         end = start - start % 100 + end
         if end <= start:
             end += 100

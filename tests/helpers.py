@@ -378,17 +378,18 @@ def _raw_diversity(texts):
 
 
 def raw_citation_tables(path, cohorts, horizon, include_zero_pacs=False, period=None):
-    """Summary and citation rows of a lenient load with the default bands, from the raw bytes.
+    """Summary, distribution and citation rows of a lenient load with the default bands, from the raw bytes.
 
     Bypasses the loader: years, names, codes and ages come from the
     accepted records of ``_raw_accepted``, diversities from
     ``block_count_diversity``. ``cohorts`` is a list of half-open
     (start, end) pairs and ``period`` one such pair, or None for the
     corpus's full year span. Returns the CSV cells, as written, of every
-    row of ``summary``, ``pacs-coverage``, ``citation-age``,
-    ``diversity-citations``, ``citation-dist`` and ``share``; ``summary``
-    and ``citation-age`` are None when the period holds no paper, the
-    last three when a cohort holds no keyed paper.
+    row of ``summary``, ``pacs-coverage``, ``pacs-counts``,
+    ``diversity-dist``, ``citation-age``, ``diversity-citations``,
+    ``citation-dist`` and ``share``; the four period tables are None
+    when the period holds no paper, the last three when a cohort holds
+    no keyed paper.
     """
     accepted, _ = _raw_accepted(path)
     year = {obj["doi"]: _raw_year(obj["date"]) for obj in accepted}
@@ -420,12 +421,15 @@ def raw_citation_tables(path, cohorts, horizon, include_zero_pacs=False, period=
     by_year = {}
     for doi, paper_year in year.items():
         by_year.setdefault(paper_year, []).append(doi)
+    unions = _raw_unions(in_period, codes)
     tables = {
-        "summary": _raw_summary(in_period, codes, ages) if in_period else None,
+        "summary": _raw_summary(in_period, codes, ages, unions) if in_period else None,
         "pacs-coverage": [
             [str(paper_year), f"{sum(bool(codes[doi]) for doi in dois) / len(dois):.6f}"]
             for paper_year, dois in sorted(by_year.items())
         ],
+        "pacs-counts": _raw_distributions(in_period, codes, unions, len, include_zero_pacs),
+        "diversity-dist": _raw_distributions(in_period, codes, unions, _raw_diversity, include_zero_pacs),
         "citation-age": series([obj["doi"] for obj in in_period]) if in_period else None,
         "diversity-citations": [],
         "citation-dist": [],
@@ -458,20 +462,40 @@ def raw_citation_tables(path, cohorts, horizon, include_zero_pacs=False, period=
     return tables
 
 
-def _raw_summary(in_period, codes, ages):
-    """The nine ``summary`` rows over the accepted records ``in_period``.
+def _raw_unions(in_period, codes):
+    """Each author's union of codes over the accepted records ``in_period``.
 
-    A paper's authors are its distinct normalised names; an author's
-    codes are the union over their in-period papers, so an author whose
-    papers carry no code counts with zero codes and diversity 0.
+    A paper's authors are its distinct normalised names; an author whose
+    papers carry no code gets an empty set.
     """
     unions = {}
-    listed = 0
     for obj in in_period:
-        names = dict.fromkeys(_raw_name(raw) for raw in obj["authors"])
-        listed += len(names)
-        for name in names:
+        for name in map(_raw_name, obj["authors"]):
             unions.setdefault(name, set()).update(codes[obj["doi"]])
+    return unions
+
+
+def _raw_distributions(in_period, codes, unions, measure, include_zero_pacs):
+    """The ``pacs-counts`` or ``diversity-dist`` rows: ``measure`` per author union, then per paper.
+
+    Empty sets count only with ``include_zero_pacs``; None for an empty period.
+    """
+    if not in_period:
+        return None
+    rows = []
+    for entity, sets in (("author", unions.values()), ("paper", [codes[obj["doi"]] for obj in in_period])):
+        values = [measure(texts) for texts in sets if texts or include_zero_pacs]
+        rows += [[entity, str(v), f"{values.count(v) / len(values):.6f}"] for v in sorted(set(values))]
+    return rows
+
+
+def _raw_summary(in_period, codes, ages, unions):
+    """The nine ``summary`` rows over the accepted records ``in_period``.
+
+    ``unions`` is ``_raw_unions`` of them, so an author whose papers
+    carry no code counts with zero codes and diversity 0.
+    """
+    listed = sum(len(set(map(_raw_name, obj["authors"]))) for obj in in_period)
     papers = len(in_period)
     authors = len(unions)
 
@@ -601,14 +625,20 @@ def messy_corpus(path, n_records, seed):
     """Write a deterministic corpus full of the mess a lenient load absorbs.
 
     Author case and whitespace variants (sometimes twice on one paper),
-    malformed and repeated PACS strings, repeated, dangling and
-    negative-age refs, blank lines, LF and CRLF endings, and malformed
-    lines of every kind: broken JSON, non-objects, missing fields, wrong
-    types, bad dates, invalid UTF-8 and rejected lines that reuse an
-    accepted DOI.
+    an author whose papers list no code, malformed and repeated PACS
+    strings, repeated, dangling and negative-age refs, blank lines, LF
+    and CRLF endings, and malformed lines of every kind: broken JSON,
+    non-objects, missing fields, wrong types, bad dates, invalid UTF-8
+    and rejected lines that reuse an accepted DOI.
     """
     rng = random.Random(seed)
-    pacs_pool = ["04.25.dg", "04.30.-w", " 07.05.Fb ", "11.15", "98.80.Es", "4.25", "ab.cd", "", "04-25"]
+    # well-formed codes in seven broad fields, three of them with two
+    # fields each, so a paper's up to four codes reach every diversity
+    # 0..9 and the pooled keys are not always empty
+    pacs_pool = [
+        "04.25.dg", "04.30.-w", " 07.05.Fb ", "11.15", "98.80.Es", "4.25", "ab.cd", "", "04-25",
+        "24.10.Cn", "42.50.Dv", "47.27.-i", "68.35.Rh", "71.15.Mb", "75.10.Jm",
+    ]
     lines = []
     for i in range(n_records):
         doi = f"10.m/{i}"
@@ -628,6 +658,9 @@ def messy_corpus(path, n_records, seed):
             "pacs": [rng.choice(pacs_pool) for _ in range(rng.randint(0, 4))],
             "refs": refs,
         }
+        if not record["pacs"]:
+            # one author lists no code on any paper
+            authors.append(_name_variant(rng, "grace gray"))
         if rng.random() < 0.1:
             record["journal"] = "Phys. Rev. E"
         roll = rng.random()

@@ -17,7 +17,15 @@ from hypothesis import given, settings, strategies as st
 from pacsdiv import cli
 from pacsdiv.cli import _CONFIG_TYPES, DEFAULTS, main
 from conftest import ALL_COMMANDS, GOLDEN_ARGS, GOLDEN_DIR, paper, write_jsonl
-from helpers import messy_corpus, raw_citation_tables, raw_group_tables, raw_ingest_recount
+from helpers import (
+    _raw_accepted,
+    _raw_codes,
+    _raw_diversity,
+    messy_corpus,
+    raw_citation_tables,
+    raw_group_tables,
+    raw_ingest_recount,
+)
 
 
 def run_cli(command, fixture_path, out_dir, *extra):
@@ -195,6 +203,18 @@ def test_empty_period_string_rejected(source, fixture_path, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["summary", "--input", str(fixture_path), "--out-dir", str(out), *extra]) == 2
     assert capsys.readouterr().err == "pacsdiv summary: error: bad year range '': expected START-END\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--period", "1990-5"), ("--windows", "1990-5,1995-00")])
+def test_one_digit_end_year_rejected(flag, value, fixture_path, tmp_path, capsys):
+    # not read as the short form 1990-2005
+    out = tmp_path / "out"
+    command = "summary" if flag == "--period" else "flows"
+    assert main([command, "--input", str(fixture_path), "--out-dir", str(out), flag, value]) == 2
+    assert capsys.readouterr().err == (
+        f"pacsdiv {command}: error: bad year range '1990-5': a short-form end year has two digits\n"
+    )
     assert not out.exists()
 
 
@@ -454,12 +474,22 @@ def test_citation_tables_match_raw_recount(seed, n_records, horizon, split, incl
         for command, rows in expected.items():
             code = main([command, "--input", str(path), "--out-dir", tmp, *flags])
             if rows is None:
-                assert code == (6 if command in ("summary", "citation-age") else 7), command
+                assert code == (6 if command in ("summary", "pacs-counts", "diversity-dist", "citation-age") else 7), command
                 continue
             assert code == 0, command
             with open(Path(tmp) / f"{command}.csv", newline="", encoding="utf-8") as handle:
                 written = list(csv.reader(handle))[1:]
             assert written == rows, command
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_messy_corpus_reaches_the_pooled_keys(seed, tmp_path):
+    # the recount above checks how share pools 9+ and the integer keying
+    # 8+ only on corpora that hold papers of diversity 8 and above 8
+    accepted, _ = _raw_accepted(messy_corpus(tmp_path / "messy.jsonl", 300, seed))
+    diversities = [_raw_diversity(_raw_codes(obj)) for obj in accepted]
+    assert 8 in diversities
+    assert max(diversities) >= 9
 
 
 def _chained(first, steps):

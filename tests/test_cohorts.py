@@ -104,6 +104,11 @@ def test_bad_interval_spec():
         group_scheme_from_spec("0-x,4+")
     with pytest.raises(ConfigError):
         group_scheme_from_spec(",")
+    # a bound is ASCII digits only
+    with pytest.raises(ConfigError):
+        group_scheme_from_spec("0-3,4-9,10-2_7,28+")
+    with pytest.raises(ConfigError):
+        group_scheme_from_spec("0-\u0663,4+")
 
 
 def test_group_fractions_fixture(fixture_corpus):

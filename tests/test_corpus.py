@@ -560,9 +560,9 @@ def test_summary_counts_repeated_author_once(corpus_file):
         ]
     )
     stats = corpus_summary(load_corpus(path), YearRange(1990, 1992))
-    assert stats.authors == 2
-    assert stats.papers_per_author == 1.0
-    assert stats.authors_per_paper == 1.0
+    assert stats["authors"] == 2
+    assert stats["papers_per_author"] == 1.0
+    assert stats["authors_per_paper"] == 1.0
 
 
 def test_malformed_codes_dropped_not_fatal(corpus_file):
@@ -597,11 +597,11 @@ def test_summary_two_paper_example(corpus_file):
         ]
     )
     stats = corpus_summary(load_corpus(path), YearRange(1990, 1992))
-    assert stats.papers == 2
-    assert stats.authors == 2
-    assert stats.authors_per_paper == 1.5
-    assert stats.codes_per_paper == 1.5
-    assert stats.papers_per_author == 1.5
+    assert stats["papers"] == 2
+    assert stats["authors"] == 2
+    assert stats["authors_per_paper"] == 1.5
+    assert stats["pacs_codes_per_paper"] == 1.5
+    assert stats["papers_per_author"] == 1.5
 
 
 def test_summary_single_paper(corpus_file):
@@ -609,22 +609,22 @@ def test_summary_single_paper(corpus_file):
         load_corpus(corpus_file([paper("p1", 1990, ["A"], ["04.25.dg"])])),
         YearRange(1990, 1991),
     )
-    assert stats.papers_per_author == 1.0
-    assert stats.paper_diversity_mean == 0.0
-    assert stats.citations_per_paper == 0.0
+    assert stats["papers_per_author"] == 1.0
+    assert stats["paper_diversity_mean"] == 0.0
+    assert stats["citations_per_paper"] == 0.0
 
 
 def test_summary_fixture_values(fixture_corpus):
     stats = corpus_summary(fixture_corpus, YearRange(1990, 2004))
-    assert stats.papers == 12
-    assert stats.authors == 6
-    assert stats.papers_per_author == pytest.approx(17 / 6)
-    assert stats.authors_per_paper == pytest.approx(17 / 12)
-    assert stats.codes_per_author == pytest.approx(33 / 6)
-    assert stats.codes_per_paper == pytest.approx(29 / 12)
-    assert stats.author_diversity_mean == pytest.approx(58 / 6)
-    assert stats.paper_diversity_mean == pytest.approx(35 / 12)
-    assert stats.citations_per_paper == pytest.approx(19 / 12)
+    assert stats["papers"] == 12
+    assert stats["authors"] == 6
+    assert stats["papers_per_author"] == pytest.approx(17 / 6)
+    assert stats["authors_per_paper"] == pytest.approx(17 / 12)
+    assert stats["pacs_codes_per_author"] == pytest.approx(33 / 6)
+    assert stats["pacs_codes_per_paper"] == pytest.approx(29 / 12)
+    assert stats["author_diversity_mean"] == pytest.approx(58 / 6)
+    assert stats["paper_diversity_mean"] == pytest.approx(35 / 12)
+    assert stats["citations_per_paper"] == pytest.approx(19 / 12)
 
 
 def test_summary_excludes_negative_age_citations(corpus_file):
@@ -635,7 +635,7 @@ def test_summary_excludes_negative_age_citations(corpus_file):
         ]
     )
     stats = corpus_summary(load_corpus(path), YearRange(1990, 1996))
-    assert stats.citations_per_paper == 0.0
+    assert stats["citations_per_paper"] == 0.0
 
 
 def test_summary_empty_period(fixture_corpus):

@@ -75,6 +75,15 @@ def test_package_exports_no_single_reader_route(name):
     assert name not in pacsdiv.__all__
 
 
+# second names for a value: a dataclass whose fields renamed the summary
+# table's rows, and a NewType of str that no code checked
+@pytest.mark.parametrize("name", ["SummaryStats", "AuthorId"])
+def test_package_exports_no_second_name_for_a_value(name):
+    assert not hasattr(pacsdiv, name)
+    assert not hasattr(pacsdiv.corpus, name)
+    assert name not in pacsdiv.__all__
+
+
 def _module_names(tree):
     """Names of the module-level functions, classes and constants of a module."""
     names = []

@@ -28,7 +28,14 @@ def test_label():
     assert YearRange(1985, 1990).label == "1985-1990"
 
 
-@pytest.mark.parametrize("bad", ["1990", "1990-1990", "1995-1990", "abc-1990", "1990-xyz", ""])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "1990", "1990-1990", "1995-1990", "abc-1990", "1990-xyz", "",
+        # a one-digit end year is no short form; a year is ASCII digits only
+        "1990-5", "1_985-1_990", "+1985-90", "\u0661\u0669\u0668\u0665-\u0661\u0669\u0669\u0660", "1990 - 1995",
+    ],
+)
 def test_rejects_bad_ranges(bad):
     with pytest.raises(ConfigError):
         parse_year_range(bad)
