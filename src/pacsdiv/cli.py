@@ -15,10 +15,9 @@ that building the table triggers. A caller that already holds frozen
 objects keeps them frozen, and no freeze is made for it.
 
 Configuration comes from flags, optionally layered over a JSON config
-file (flags win; each file value must have its key's JSON type), with
-built-in defaults: windows 1985-1990 through 2005-2010 in five-year
-steps, cohorts 1985-1994 and 1994-2003, horizon 10, groups
-0-3/4-9/10-27/28+, bands 0-2/3-5/6+.
+file (flags win; each file value must have its key's JSON type), over
+built-in defaults. ``_FLAGS`` declares every setting once: its default,
+its JSON types and its help text.
 """
 
 from __future__ import annotations
@@ -66,27 +65,44 @@ AUTHOR_MODES = ("windowed", "cumulative")
 # horizon would only add rows of zeros
 MAX_HORIZON = 9999
 
-DEFAULTS: dict[str, Any] = {
-    "format": "csv",
-    "windows": "1985-90,1990-95,1995-00,2000-05,2005-10",
-    "cohorts": "1985-1994,1994-2003",
-    "horizon": 10,
-    "groups": "0-3,4-9,10-27,28+",
-    "bands": "0-2,3-5,6+",
-    "period": None,
-    "include_zero_pacs": False,
-    "author_mode": "windowed",
-    "lenient": False,
+# One row per flag, in --help order: name -> (default, the JSON types a
+# config file may give it, help text, other argparse options). A help
+# text's %(default)s is the row's default. No config file sets --config.
+_FLAGS: dict[str, tuple[Any, tuple[type, ...], str, dict[str, Any]]] = {
+    "input": (None, (str,), "JSON Lines metadata file", {}),
+    "out_dir": (None, (str,), f"output directory (default ${OUT_DIR_ENV} or .)", {}),
+    "format": ("csv", (str,), "table format (default %(default)s)", {"choices": FORMATS}),
+    "config": (None, (), "JSON config file; explicit flags win", {}),
+    "windows": (
+        "1985-90,1990-95,1995-00,2000-05,2005-10", (str,), "comma-separated year windows, e.g. 1985-90,1990-95", {}
+    ),
+    "cohorts": ("1985-1994,1994-2003", (str,), "comma-separated cohort year ranges", {}),
+    "period": (
+        None,
+        (str, type(None)),
+        "year range for summary, pacs-counts, diversity-dist and citation-age (default: full corpus span)",
+        {},
+    ),
+    "horizon": (10, (int,), "citation horizon in years (default %(default)s)", {"type": int}),
+    "groups": ("0-3,4-9,10-27,28+", (str,), "diversity group boundaries, e.g. %(default)s", {}),
+    "bands": ("0-2,3-5,6+", (str,), "diversity band boundaries, e.g. %(default)s", {}),
+    "include_zero_pacs": (
+        False,
+        (bool,),
+        "admit papers without codes into diversity-keyed tables as diversity 0",
+        {"action": "store_true"},
+    ),
+    "author_mode": (
+        "windowed",
+        (str,),
+        "author diversity from window-only codes or cumulative-to-window codes",
+        {"choices": AUTHOR_MODES},
+    ),
+    "lenient": (False, (bool,), "skip and count malformed lines instead of aborting", {"action": "store_true"}),
 }
-
-# The keys a config file may set, each with the JSON types its value may have.
-_CONFIG_TYPES: dict[str, tuple[type, ...]] = {
-    **dict.fromkeys(("input", "out_dir", "format", "windows", "cohorts", "groups", "bands", "author_mode"), (str,)),
-    "period": (str, type(None)),
-    "horizon": (int,),
-    "include_zero_pacs": (bool,),
-    "lenient": (bool,),
-}
+# The keys a config file may set, with their JSON types and defaults.
+_CONFIG_TYPES: dict[str, tuple[type, ...]] = {name: row[1] for name, row in _FLAGS.items() if row[1]}
+DEFAULTS: dict[str, Any] = {name: _FLAGS[name][0] for name in _CONFIG_TYPES}
 _JSON_TYPE_NAMES = {str: "string", int: "integer", bool: "boolean", type(None): "null"}
 
 EXIT_CODES: dict[type, int] = {
@@ -351,38 +367,10 @@ COMMANDS: dict[str, Callable[..., Table]] = {
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", help="JSON Lines metadata file")
-    common.add_argument("--out-dir", dest="out_dir", help=f"output directory (default ${OUT_DIR_ENV} or .)")
-    common.add_argument("--format", choices=FORMATS, help=f"table format (default {DEFAULTS['format']})")
-    common.add_argument("--config", help="JSON config file; explicit flags win")
-    common.add_argument("--windows", help="comma-separated year windows, e.g. 1985-90,1990-95")
-    common.add_argument("--cohorts", help="comma-separated cohort year ranges")
-    common.add_argument(
-        "--period",
-        help="year range for summary, pacs-counts, diversity-dist and citation-age (default: full corpus span)",
-    )
-    common.add_argument("--horizon", type=int, help=f"citation horizon in years (default {DEFAULTS['horizon']})")
-    common.add_argument("--groups", help="diversity group boundaries, e.g. 0-3,4-9,10-27,28+")
-    common.add_argument("--bands", help="diversity band boundaries, e.g. 0-2,3-5,6+")
-    common.add_argument(
-        "--include-zero-pacs",
-        dest="include_zero_pacs",
-        action="store_true",
-        default=None,
-        help="admit papers without codes into diversity-keyed tables as diversity 0",
-    )
-    common.add_argument(
-        "--author-mode",
-        dest="author_mode",
-        choices=AUTHOR_MODES,
-        help="author diversity from window-only codes or cumulative-to-window codes",
-    )
-    common.add_argument(
-        "--lenient",
-        action="store_true",
-        default=None,
-        help="skip and count malformed lines instead of aborting",
-    )
+    for name, (default, _, help_text, options) in _FLAGS.items():
+        # default None: a flag that was not given does not override
+        flag = "--" + name.replace("_", "-")
+        common.add_argument(flag, default=None, help=help_text % {"default": default}, **options)
 
     parser = argparse.ArgumentParser(
         prog="pacsdiv",
@@ -428,13 +416,11 @@ def _distinct_ranges(settings: dict[str, Any], key: str) -> tuple[YearRange, ...
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Layer defaults, config file and explicit flags into a RunConfig."""
-    settings: dict[str, Any] = dict(DEFAULTS)
-    settings["input"] = None
-    settings["out_dir"] = os.environ.get(OUT_DIR_ENV, ".")
+    settings: dict[str, Any] = dict(DEFAULTS, out_dir=os.environ.get(OUT_DIR_ENV, "."))
     if args.config:
         settings.update(_load_config_file(args.config))
-    for key in list(settings):
-        value = getattr(args, key, None)
+    for key in settings:
+        value = getattr(args, key)
         if value is not None:
             settings[key] = value
 
@@ -508,8 +494,6 @@ def run(command: str, cfg: RunConfig) -> list[Path]:
     IoFailure
         If the output directory or a file in it cannot be written.
     """
-    if command not in COMMANDS:
-        raise ConfigError(f"unknown command {command!r}")
     try:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

@@ -53,6 +53,9 @@ def parse_year_range(text: str) -> YearRange:
         end = start - start % 100 + end
         if end <= start:
             end += 100
+    elif end <= start:
+        # checked here, not by YearRange, so the message quotes the text typed
+        raise ConfigError(f"bad year range {text!r}: start must be before end")
     return YearRange(start, end)
 
 

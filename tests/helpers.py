@@ -362,29 +362,24 @@ def _raw_share_key(diversity):
     return str(diversity) if diversity <= 8 else "9+"
 
 
-def _raw_band(diversity):
-    """The default bands 0-2, 3-5 and 6+."""
-    return "low" if diversity <= 2 else "medium" if diversity <= 5 else "high"
-
-
-_RAW_KEY_ORDER = {
-    "integer": [str(i) for i in range(9)] + ["8+"],
-    "band": ["low", "medium", "high"],
-}
+_RAW_INTEGER_KEYS = [str(i) for i in range(9)] + ["8+"]
 
 
 def _raw_diversity(texts):
     return block_count_diversity(PacsCode(int(t[0]), int(t[1]), t[3:]) for t in texts)
 
 
-def raw_citation_tables(path, cohorts, horizon, include_zero_pacs=False, period=None):
-    """Summary, distribution and citation rows of a lenient load with the default bands, from the raw bytes.
+def raw_citation_tables(path, cohorts, horizon, include_zero_pacs=False, period=None, band_starts=(0, 3, 6)):
+    """Summary, distribution and citation rows of a lenient load, from the raw bytes.
 
     Bypasses the loader: years, names, codes and ages come from the
     accepted records of ``_raw_accepted``, diversities from
     ``block_count_diversity``. ``cohorts`` is a list of half-open
     (start, end) pairs and ``period`` one such pair, or None for the
-    corpus's full year span. Returns the CSV cells, as written, of every
+    corpus's full year span. ``band_starts`` are the ascending lower
+    bounds of the bands, the first 0 and the last open-ended; three
+    bands are low, medium and high, any other number band1..bandN.
+    Returns the CSV cells, as written, of every
     row of ``summary``, ``pacs-coverage``, ``pacs-counts``,
     ``diversity-dist``, ``citation-age``, ``diversity-citations``,
     ``citation-dist`` and ``share``; the four period tables are None
@@ -401,6 +396,13 @@ def raw_citation_tables(path, cohorts, horizon, include_zero_pacs=False, period=
             if target in year:
                 ages[target].append(year[obj["doi"]] - year[target])
     cited = {doi: sum(0 <= age <= horizon for age in doi_ages) for doi, doi_ages in ages.items()}
+    if len(band_starts) == 3:
+        band_labels = ["low", "medium", "high"]
+    else:
+        band_labels = [f"band{i}" for i in range(1, len(band_starts) + 1)]
+
+    def band(diversity):
+        return band_labels[max(i for i, start in enumerate(band_starts) if start <= diversity)]
 
     def series(dois):
         counts = [0] * (horizon + 1)
@@ -444,17 +446,17 @@ def raw_citation_tables(path, cohorts, horizon, include_zero_pacs=False, period=
         share_keys = [_raw_share_key(diversity[doi]) for doi in keyed]
         for row in tables["share"]:
             row.append(f"{100.0 * share_keys.count(row[0]) / len(keyed):.6f}")
-        for keying, key_of in (("integer", _raw_key), ("band", _raw_band)):
+        for keying, key_of, key_order in (("integer", _raw_key, _RAW_INTEGER_KEYS), ("band", band, band_labels)):
             by_key = {}
             for doi in keyed:
                 by_key.setdefault(key_of(diversity[doi]), []).append(doi)
-            for key in _RAW_KEY_ORDER[keying]:
+            for key in key_order:
                 if key in by_key:
                     tables["diversity-citations"] += [[label, keying, key, *row] for row in series(by_key[key])]
         by_key = {}
         for doi in keyed:
             by_key.setdefault(_raw_key(diversity[doi]), []).append(cited[doi])
-        for key in _RAW_KEY_ORDER["integer"]:
+        for key in _RAW_INTEGER_KEYS:
             if key in by_key:
                 counts = by_key[key]
                 for c in range(max(counts) + 1):

@@ -7,8 +7,11 @@ golden fixture (run once plain and once with the golden arguments), the
 seed-1 ``ingest``, ``authors`` and ``citations`` corpora of
 ``perfbench/gen.py``, ``messy_corpus`` seeds 1-3 at 300 records and a
 corpus of blank lines only. Each corpus runs under 8 flag sets x 11
-commands; ``--help``, ``--version`` and the 11 command ``--help``
-outputs run once. Each side runs all of it in its own interpreter, with
+commands (792 matrix runs). The golden fixture also runs each flag set
+as a ``--config`` file instead of flags (88 runs), and ``groups`` once
+with each of 8 bad config files (96 config-file runs in all).
+``--help``, ``--version`` and the 11 command ``--help`` outputs run
+once. Each side runs all of it in its own interpreter, with
 ``PYTHONHASHSEED=0``, umask 022 and the same output path, and records
 each run's exit code, stdout, stderr and every written file's sha256
 and mode. Prints the counts and exits 1 on any difference.
@@ -45,6 +48,17 @@ FLAG_SETS = [
     ["--lenient", "--cohorts", "1800-1801,1990-1997"],
     ["--lenient", "--windows", "1990-94,1994-98,1998-02", "--groups", "0-2,3-6,7+", "--bands", "0-1,2-4,5+"],
     ["--lenient", "--horizon", "3"],
+]
+# config files rejected with exit 2, one bad key or value each
+BAD_CONFIGS = [
+    {"jobs": 1},
+    {"lenient": "false"},
+    {"include_zero_pacs": "no"},
+    {"horizon": True},
+    {"horizon": 10.9},
+    {"windows": ["1985-90"]},
+    {"period": 1990},
+    {"groups": 5},
 ]
 
 # Runs one side's argv lists through cli.main in this interpreter and
@@ -96,18 +110,43 @@ def _generate(work: Path) -> dict[str, tuple[Path, list[str]]]:
     return corpora
 
 
-def _runs(corpora, out: Path) -> list[tuple[str, list[str]]]:
-    """(label, argv) of every run: the matrix, then the help and version outputs."""
-    runs = [
+def _config_file(flags: list[str]) -> dict:
+    """The config-file object that sets what ``flags`` set."""
+    settings, given = {}, iter(flags)
+    for flag in given:
+        key = flag[2:].replace("-", "_")
+        if key in ("lenient", "include_zero_pacs"):
+            settings[key] = True
+        else:
+            value = next(given)
+            settings[key] = int(value) if key == "horizon" else value
+    return settings
+
+
+def _runs(corpora, work: Path) -> dict[str, list[tuple[str, list[str]]]]:
+    """(label, argv) of every run, by kind: the matrix, the config-file runs, the help and version outputs."""
+    out = str(work / "out")
+    matrix = [
         (f"{name} {' '.join(flags) or '(defaults)'} {command}",
-         [command, "--input", str(path), "--out-dir", str(out), *extra, *flags])
+         [command, "--input", str(path), "--out-dir", out, *extra, *flags])
         for name, (path, extra) in corpora.items()
         for flags in FLAG_SETS
         for command in ALL_COMMANDS
     ]
-    runs += [("--help", ["--help"]), ("--version", ["--version"])]
-    runs += [(f"{command} --help", [command, "--help"]) for command in ALL_COMMANDS]
-    return runs
+    golden = str(corpora["golden"][0])
+    config_runs = []
+    for i, settings in enumerate([_config_file(flags) for flags in FLAG_SETS] + BAD_CONFIGS):
+        config = work / f"config-{i}.json"
+        config.write_text(json.dumps(settings))
+        commands = ALL_COMMANDS if i < len(FLAG_SETS) else ["groups"]
+        config_runs += [
+            (f"golden --config {json.dumps(settings)} {command}",
+             [command, "--input", golden, "--out-dir", out, "--config", str(config)])
+            for command in commands
+        ]
+    help_runs = [("--help", ["--help"]), ("--version", ["--version"])]
+    help_runs += [(f"{command} --help", [command, "--help"]) for command in ALL_COMMANDS]
+    return {"matrix": matrix, "config-file": config_runs, "help and version": help_runs}
 
 
 def _side(src: Path, runs_file: Path, work: Path, name: str) -> list:
@@ -130,17 +169,18 @@ def main(argv=None) -> int:
         work = (args.work or Path(tmp)).resolve()
         work.mkdir(parents=True, exist_ok=True)
         corpora = _generate(work)
-        runs = _runs(corpora, work / "out")
+        kinds = _runs(corpora, work)
+        runs = [run for kind_runs in kinds.values() for run in kind_runs]
         runs_file = work / "runs.json"
         runs_file.write_text(json.dumps([argv for _, argv in runs]))
         old = _side(args.old_src, runs_file, work, "old")
         new = _side(args.new_src, runs_file, work, "new")
     differing = [label for (label, _), a, b in zip(runs, old, new) if a != b]
-    matrix = old[: len(corpora) * len(FLAG_SETS) * len(ALL_COMMANDS)]
-    exits = Counter(code for code, *_ in matrix)
+    counted = len(kinds["matrix"]) + len(kinds["config-file"])
+    exits = Counter(code for code, *_ in old[:counted])
     files = sum(len(result[3]) for result in old)
-    print(f"{len(matrix)} matrix runs and {len(runs) - len(matrix)} help and version outputs per side")
-    print("exit codes: " + ", ".join(f"{n} exit {code}" for code, n in sorted(exits.items())))
+    print(", ".join(f"{len(kind_runs)} {kind} runs" for kind, kind_runs in kinds.items()) + " per side")
+    print("matrix and config-file exit codes: " + ", ".join(f"{n} exit {code}" for code, n in sorted(exits.items())))
     print(f"{files} files written per side")
     print(f"{len(differing)} runs differ")
     for label in differing[:20]:

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -182,6 +183,53 @@ def test_config_file_can_set_every_setting():
     assert set(_CONFIG_TYPES) == set(DEFAULTS) | {"input", "out_dir"}
 
 
+# a valid value other than the default for every setting; paths are
+# relative to the test's tmp_path
+_NON_DEFAULT = {
+    "input": "copy.jsonl",
+    "out_dir": "runs/elsewhere",
+    "format": "json",
+    "windows": "1990-94,1994-98,1998-02",
+    "cohorts": "1990-1995,1995-2000",
+    "period": "1992-1998",
+    "horizon": 3,
+    "groups": "0-2,3-6,7+",
+    "bands": "0-1,2-4,5+",
+    "include_zero_pacs": True,
+    "author_mode": "cumulative",
+    "lenient": True,
+}
+
+
+@pytest.mark.parametrize("key", list(DEFAULTS))
+def test_flag_and_config_file_give_the_same_run(key, fixture_path, tmp_path, monkeypatch, capsys):
+    value = _NON_DEFAULT[key]
+    if key in ("input", "out_dir"):
+        value = str(tmp_path / value)
+    (tmp_path / "copy.jsonl").write_bytes(fixture_path.read_bytes())
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({key: value}))
+    flag = "--" + key.replace("_", "-")
+    given = [flag] if value is True else [flag, str(value)]
+    runs = tmp_path / "runs"
+    monkeypatch.setenv("PACSDIV_OUT_DIR", str(runs / "default"))
+    base = [] if key == "input" else ["--input", str(fixture_path)]
+
+    def every_command(*extra):
+        """Each command's exit code, and every file written, by path under ``runs``."""
+        codes = [main([command, *extra]) for command in ALL_COMMANDS]
+        files = {str(path.relative_to(runs)): path.read_bytes() for path in sorted(runs.rglob("*")) if path.is_file()}
+        shutil.rmtree(runs)
+        return codes, files
+
+    defaults = every_command("--input", str(fixture_path))
+    by_flag = every_command(*base, *given)
+    by_config = every_command(*base, "--config", str(config))
+    assert by_flag == by_config
+    # and the value reached the run
+    assert by_flag != defaults
+
+
 def test_config_file_null_period_is_full_span(fixture_path, tmp_path, capsys):
     config = tmp_path / "run.json"
     config.write_text(json.dumps({"period": None, "lenient": True, "horizon": 5}))
@@ -215,6 +263,13 @@ def test_one_digit_end_year_rejected(flag, value, fixture_path, tmp_path, capsys
     assert capsys.readouterr().err == (
         f"pacsdiv {command}: error: bad year range '1990-5': a short-form end year has two digits\n"
     )
+    assert not out.exists()
+
+
+def test_reversed_period_names_the_text_given(fixture_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["summary", "--input", str(fixture_path), "--out-dir", str(out), "--period", "1990-005"]) == 2
+    assert capsys.readouterr().err == "pacsdiv summary: error: bad year range '1990-005': start must be before end\n"
     assert not out.exists()
 
 
@@ -446,6 +501,16 @@ def test_corpus_facts_computed_once_per_run(command, flags, fixture_path, tmp_pa
     assert sorted(calls) == ["facts", "year_span"]
 
 
+# ascending group or band lower bounds after the first one's 0
+_GROUP_STARTS = st.lists(st.integers(1, 12), max_size=3, unique=True).map(lambda cuts: [0, *sorted(cuts)])
+
+
+def _group_spec(starts):
+    """The --groups or --bands text of ascending lower bounds: "0-2,3-5,6+" for [0, 3, 6]."""
+    closed = [f"{lo}-{hi - 1}" for lo, hi in zip(starts, starts[1:])]
+    return ",".join([*closed, f"{starts[-1]}+"])
+
+
 # a period of 1 to 4 years within 1989-2003, around the messy corpora's 1990-2001
 _PERIODS = st.none() | st.builds(
     lambda start, length: (start, min(start + length, 2003)), st.integers(1989, 2002), st.integers(1, 4)
@@ -460,17 +525,21 @@ _PERIODS = st.none() | st.builds(
     split=st.integers(1991, 2001),
     include_zero_pacs=st.booleans(),
     period=_PERIODS,
+    band_starts=_GROUP_STARTS,
 )
-def test_citation_tables_match_raw_recount(seed, n_records, horizon, split, include_zero_pacs, period):
+def test_citation_tables_match_raw_recount(
+    seed, n_records, horizon, split, include_zero_pacs, period, band_starts
+):
     cohorts = [(1990, split), (split, 2002)]
     flags = ["--lenient", "--horizon", str(horizon), "--cohorts", ",".join(f"{a}-{b}" for a, b in cohorts)]
+    flags += ["--bands", _group_spec(band_starts)]
     if include_zero_pacs:
         flags.append("--include-zero-pacs")
     if period:
         flags += ["--period", "{}-{}".format(*period)]
     with tempfile.TemporaryDirectory() as tmp:
         path = messy_corpus(Path(tmp) / "messy.jsonl", n_records, seed)
-        expected = raw_citation_tables(path, cohorts, horizon, include_zero_pacs, period)
+        expected = raw_citation_tables(path, cohorts, horizon, include_zero_pacs, period, band_starts)
         for command, rows in expected.items():
             code = main([command, "--input", str(path), "--out-dir", tmp, *flags])
             if rows is None:
@@ -511,16 +580,6 @@ _WINDOWS = st.one_of(
         min_size=1, max_size=4, unique=True,
     ),
 )
-# ascending group lower bounds after the first group's 0
-_GROUP_STARTS = st.lists(st.integers(1, 12), max_size=3, unique=True).map(lambda cuts: [0, *sorted(cuts)])
-
-
-def _group_spec(starts):
-    """The --groups text of ascending lower bounds: "0-2,3-5,6+" for [0, 3, 6]."""
-    closed = [f"{lo}-{hi - 1}" for lo, hi in zip(starts, starts[1:])]
-    return ",".join([*closed, f"{starts[-1]}+"])
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

@@ -41,6 +41,13 @@ def test_rejects_bad_ranges(bad):
         parse_year_range(bad)
 
 
+@pytest.mark.parametrize("text", ["1990-005", "1990-0995", "1995-1990"])
+def test_reversed_range_names_the_text_given(text):
+    # not the range its years parse to, such as 1990-5 for 1990-005
+    with pytest.raises(ConfigError, match=f"^bad year range '{text}': start must be before end$"):
+        parse_year_range(text)
+
+
 def test_parse_list():
     ranges = parse_year_ranges("1985-90,1990-95, 1995-00")
     assert [r.label for r in ranges] == ["1985-1990", "1990-1995", "1995-2000"]
