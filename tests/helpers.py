@@ -8,12 +8,21 @@ the loader) so that agreement between the two is meaningful. The
 library itself never calls the pairwise distance or the exhaustive
 Weitzman oracles; they live here as the reference its closed form is
 tested against.
+
+The loader-free reference for the tables has three parts.
+``raw_ingest_recount`` reads the raw bytes once and gives each accepted
+paper's year, names and codes, the citation ages, the rejected lines,
+the ingest counters and the corpus facts. ``raw_author_unions`` builds
+author code unions from it. ``raw_tables`` builds every command's exit
+code and CSV rows from the two. Each table, union and ingest count is
+recounted once, here.
 """
 
 import datetime
 import json
 import random
 import re
+from bisect import bisect_right
 from itertools import accumulate, permutations
 from typing import Iterable
 
@@ -307,107 +316,130 @@ def raw_ingest_recount(path):
     """What a lenient load should find, recounted from the raw bytes.
 
     Bypasses the loader and recounts from the accepted records of
-    ``_raw_accepted`` alone. Returns a dict with ``papers_by_author``
-    ({name: tuple of DOIs}), ``citations_in`` ({cited DOI: tuple of
-    ages, citing year minus cited year}), ``rejected_linenos`` and
-    every ``IngestStats`` counter, all in file order.
+    ``_raw_accepted`` alone. Returns a dict, everything in file order:
+    ``papers`` ({DOI: (year, tuple of distinct normalised names, set of
+    "AB.CD" strings)}), ``papers_by_author`` ({name: tuple of DOIs}),
+    ``citations_in`` ({cited DOI: tuple of ages, citing year minus cited
+    year}), ``rejected_linenos``, ``ingest`` (every ``IngestStats``
+    counter) and ``corpus`` (the sidecar's corpus facts).
     """
     accepted, rejected = _raw_accepted(path)
-    year = {}
+    papers = {}
+    repeated_authors = 0
     for obj in accepted:
-        assert obj["doi"] not in year, "recount expects unique accepted DOIs"
-        year[obj["doi"]] = int(obj["date"][:4])
+        assert obj["doi"] not in papers, "recount expects unique accepted DOIs"
+        names = tuple(dict.fromkeys(map(_raw_name, obj["authors"])))
+        repeated_authors += len(obj["authors"]) - len(names)
+        papers[obj["doi"]] = (_raw_year(obj["date"]), names, _raw_codes(obj))
     by_author = {}
     citations = {}
-    malformed = dangling = negative = repeated_authors = 0
+    malformed = dangling = negative = 0
     for obj in accepted:
         doi = obj["doi"]
-        for raw in obj["authors"]:
-            dois = by_author.setdefault(_raw_name(raw), [])
-            if doi in dois:
-                repeated_authors += 1
-            else:
-                dois.append(doi)
-        for raw in obj["pacs"]:
-            if _RAW_PACS.match(raw.strip()) is None:
-                malformed += 1
+        for name in papers[doi][1]:
+            by_author.setdefault(name, []).append(doi)
+        malformed += sum(_RAW_PACS.match(raw.strip()) is None for raw in obj["pacs"])
         for target in obj["refs"]:
-            if target not in year:
+            if target not in papers:
                 dangling += 1
                 continue
-            age = year[doi] - year[target]
+            age = papers[doi][0] - papers[target][0]
             citations.setdefault(target, []).append(age)
             if age < 0:
                 negative += 1
+    years = [year for year, _, _ in papers.values()]
     return {
+        "papers": papers,
         "papers_by_author": {name: tuple(dois) for name, dois in by_author.items()},
         "citations_in": {doi: tuple(ages) for doi, ages in citations.items()},
         "rejected_linenos": rejected,
-        "records_accepted": len(accepted),
-        "lines_rejected": len(rejected),
-        "malformed_pacs_dropped": malformed,
-        "dangling_refs": dangling,
-        "negative_age_citations_skipped": negative,
-        "duplicate_authors_collapsed": repeated_authors,
+        "ingest": {
+            "records_accepted": len(accepted),
+            "lines_rejected": len(rejected),
+            "malformed_pacs_dropped": malformed,
+            "dangling_refs": dangling,
+            "negative_age_citations_skipped": negative,
+            "duplicate_authors_collapsed": repeated_authors,
+        },
+        "corpus": {
+            "papers": len(papers),
+            "authors": len(by_author),
+            "citation_pairs": sum(map(len, citations.values())),
+            "year_min": min(years, default=None),
+            "year_max": max(years, default=None),
+        },
     }
 
 
-def _raw_key(diversity):
-    """Integer keying: "0".."8", everything above pooled as "8+"."""
-    return str(diversity) if diversity <= 8 else "8+"
+def raw_author_unions(source, window, cumulative=False):
+    """Per-author PACS code unions of a lenient load, from the raw bytes.
 
-
-def _raw_share_key(diversity):
-    """The ``share`` table's keying: "0".."8", everything above pooled as "9+"."""
-    return str(diversity) if diversity <= 8 else "9+"
-
-
-_RAW_INTEGER_KEYS = [str(i) for i in range(9)] + ["8+"]
+    ``source`` is a path or its ``raw_ingest_recount``, and ``window`` a
+    half-open (start, end) pair of years. The authors are those of the
+    accepted records published in it, in order of first appearance; each
+    maps to the set of "AB.CD" strings on their records in the window
+    or, with ``cumulative``, in any year before its end.
+    """
+    papers = (source if isinstance(source, dict) else raw_ingest_recount(source))["papers"]
+    start, end = window
+    unions = {name: set() for year, names, _ in papers.values() if start <= year < end for name in names}
+    for year, names, codes in papers.values():
+        if year < end and (cumulative or year >= start):
+            for name in names:
+                if name in unions:
+                    unions[name] |= codes
+    return unions
 
 
 def _raw_diversity(texts):
     return block_count_diversity(PacsCode(int(t[0]), int(t[1]), t[3:]) for t in texts)
 
 
-def raw_citation_tables(path, cohorts, horizon, include_zero_pacs=False, period=None, band_starts=(0, 3, 6)):
-    """Summary, distribution and citation rows of a lenient load, from the raw bytes.
+def _raw_label(value, starts, labels):
+    """The label of the interval holding ``value``, given the intervals' ascending lower bounds."""
+    return labels[bisect_right(starts, value) - 1]
 
-    Bypasses the loader: years, names, codes and ages come from the
-    accepted records of ``_raw_accepted``, diversities from
-    ``block_count_diversity``. ``cohorts`` is a list of half-open
-    (start, end) pairs and ``period`` one such pair, or None for the
-    corpus's full year span. ``band_starts`` are the ascending lower
-    bounds of the bands, the first 0 and the last open-ended; three
-    bands are low, medium and high, any other number band1..bandN.
-    Returns the CSV cells, as written, of every
-    row of ``summary``, ``pacs-coverage``, ``pacs-counts``,
-    ``diversity-dist``, ``citation-age``, ``diversity-citations``,
-    ``citation-dist`` and ``share``; the four period tables are None
-    when the period holds no paper, the last three when a cohort holds
-    no keyed paper.
+
+# the integer keyings' intervals: 0..8 one value each, 9 and above pooled
+_RAW_INTEGER_STARTS = range(10)
+_RAW_INTEGER_LABELS = [str(i) for i in range(9)] + ["8+"]
+_RAW_SHARE_LABELS = [str(i) for i in range(9)] + ["9+"]
+_RAW_PERIOD_COMMANDS = ("summary", "pacs-counts", "diversity-dist", "citation-age")
+_RAW_COHORT_COMMANDS = ("diversity-citations", "citation-dist", "share")
+
+
+def raw_tables(path, settings):
+    """Every command's exit code and CSV rows, recounted from the raw bytes.
+
+    Bypasses the loader: years, names, codes, ages and counters come
+    from ``raw_ingest_recount``, author unions from ``raw_author_unions``
+    and diversities from ``block_count_diversity``. ``settings`` holds
+    ``period``, a half-open (start, end) pair of years or None for the
+    corpus's full span; ``cohorts`` and ``windows``, lists of distinct
+    such pairs in flag order; ``groups`` and ``bands``, the ascending
+    lower bounds of the G1..Gn groups and of the bands (low, medium and
+    high for three, band1..bandN otherwise), the first 0 and the last
+    open-ended; ``horizon``; and the booleans ``include_zero_pacs``,
+    ``cumulative`` for the author mode and ``lenient``.
+
+    Returns {command: (exit code, rows as written or None)} for all 11
+    commands; rows are None exactly when the code is not 0. The codes
+    follow the CLI's precedence: configuration errors first (the
+    settings are taken as valid), then the load, then the table. A
+    strict load that meets a rejected line exits 4 for every command
+    but ``validate``, which always loads leniently; that holds even for
+    ``flows`` with one window, which would otherwise exit 2. After the
+    load, an empty period exits 6, a cohort without a diversity-keyed
+    paper 7, and windows that overlap or are out of order 8.
     """
-    accepted, _ = _raw_accepted(path)
-    year = {obj["doi"]: _raw_year(obj["date"]) for obj in accepted}
-    codes = {obj["doi"]: _raw_codes(obj) for obj in accepted}
-    diversity = {doi: _raw_diversity(texts) for doi, texts in codes.items() if texts or include_zero_pacs}
-    ages = {doi: [] for doi in year}
-    for obj in accepted:
-        for target in obj["refs"]:
-            if target in year:
-                ages[target].append(year[obj["doi"]] - year[target])
-    cited = {doi: sum(0 <= age <= horizon for age in doi_ages) for doi, doi_ages in ages.items()}
-    if len(band_starts) == 3:
-        band_labels = ["low", "medium", "high"]
-    else:
-        band_labels = [f"band{i}" for i in range(1, len(band_starts) + 1)]
-
-    def band(diversity):
-        return band_labels[max(i for i, start in enumerate(band_starts) if start <= diversity)]
+    recount = raw_ingest_recount(path)
+    papers, ages = recount["papers"], recount["citations_in"]
+    horizon, zero = settings["horizon"], settings["include_zero_pacs"]
 
     def series(dois):
         counts = [0] * (horizon + 1)
         for doi in dois:
-            for age in ages[doi]:
+            for age in ages.get(doi, ()):
                 if 0 <= age <= horizon:
                     counts[age] += 1
         rows = []
@@ -417,179 +449,134 @@ def raw_citation_tables(path, cohorts, horizon, include_zero_pacs=False, period=
             rows.append([str(age), str(len(dois)), str(c), f"{c / len(dois):.6f}", f"{running:.6f}"])
         return rows
 
-    if period is None and year:
-        period = (min(year.values()), max(year.values()) + 1)
-    in_period = [obj for obj in accepted if period and period[0] <= year[obj["doi"]] < period[1]]
     by_year = {}
-    for doi, paper_year in year.items():
-        by_year.setdefault(paper_year, []).append(doi)
-    unions = _raw_unions(in_period, codes)
+    for year, _, codes in papers.values():
+        by_year.setdefault(year, []).append(bool(codes))
+    coverage = [[str(year), f"{sum(coded) / len(coded):.6f}"] for year, coded in sorted(by_year.items())]
+    facts = recount["corpus"]
     tables = {
-        "summary": _raw_summary(in_period, codes, ages, unions) if in_period else None,
-        "pacs-coverage": [
-            [str(paper_year), f"{sum(bool(codes[doi]) for doi in dois) / len(dois):.6f}"]
-            for paper_year, dois in sorted(by_year.items())
-        ],
-        "pacs-counts": _raw_distributions(in_period, codes, unions, len, include_zero_pacs),
-        "diversity-dist": _raw_distributions(in_period, codes, unions, _raw_diversity, include_zero_pacs),
-        "citation-age": series([obj["doi"] for obj in in_period]) if in_period else None,
-        "diversity-citations": [],
-        "citation-dist": [],
-        "share": [[str(i)] for i in range(9)] + [["9+"]],
+        "pacs-coverage": (0, coverage),
+        "validate": (
+            0,
+            [["papers", str(facts["papers"])], ["authors", str(facts["authors"])]]
+            + [[name, str(count)] for name, count in sorted(recount["ingest"].items())]
+            + [["citation_pairs_in_corpus", str(facts["citation_pairs"])]]
+            + [[name, str(facts[name] or 0)] for name in ("year_min", "year_max")],
+        ),
     }
-    for start, end in cohorts:
-        label = f"{start}-{end}"
-        keyed = [doi for doi in diversity if start <= year[doi] < end]
-        if not keyed:
-            tables["diversity-citations"] = tables["citation-dist"] = tables["share"] = None
-            break
-        share_keys = [_raw_share_key(diversity[doi]) for doi in keyed]
-        for row in tables["share"]:
-            row.append(f"{100.0 * share_keys.count(row[0]) / len(keyed):.6f}")
-        for keying, key_of, key_order in (("integer", _raw_key, _RAW_INTEGER_KEYS), ("band", band, band_labels)):
-            by_key = {}
-            for doi in keyed:
-                by_key.setdefault(key_of(diversity[doi]), []).append(doi)
-            for key in key_order:
-                if key in by_key:
-                    tables["diversity-citations"] += [[label, keying, key, *row] for row in series(by_key[key])]
-        by_key = {}
-        for doi in keyed:
-            by_key.setdefault(_raw_key(diversity[doi]), []).append(cited[doi])
-        for key in _RAW_INTEGER_KEYS:
-            if key in by_key:
-                counts = by_key[key]
-                for c in range(max(counts) + 1):
-                    tables["citation-dist"].append([label, key, str(c), f"{counts.count(c) / len(counts):.6f}"])
-    return tables
 
+    period = settings["period"]
+    if period is None and papers:
+        period = (facts["year_min"], facts["year_max"] + 1)
+    in_period = [doi for doi, (year, _, _) in papers.items() if period and period[0] <= year < period[1]]
+    if in_period:
+        unions = raw_author_unions(recount, period)
+        listed = sum(len(papers[doi][1]) for doi in in_period)
 
-def _raw_unions(in_period, codes):
-    """Each author's union of codes over the accepted records ``in_period``.
+        def per_author(total):
+            return f"{total / len(unions) if unions else 0.0:.6f}"
 
-    A paper's authors are its distinct normalised names; an author whose
-    papers carry no code gets an empty set.
-    """
-    unions = {}
-    for obj in in_period:
-        for name in map(_raw_name, obj["authors"]):
-            unions.setdefault(name, set()).update(codes[obj["doi"]])
-    return unions
+        def per_paper(total):
+            return f"{total / len(in_period):.6f}"
 
+        def distribution(measure):
+            rows = []
+            for entity, sets in (("author", unions.values()), ("paper", [papers[doi][2] for doi in in_period])):
+                values = [measure(codes) for codes in sets if codes or zero]
+                rows += [[entity, str(v), f"{values.count(v) / len(values):.6f}"] for v in sorted(set(values))]
+            return rows
 
-def _raw_distributions(in_period, codes, unions, measure, include_zero_pacs):
-    """The ``pacs-counts`` or ``diversity-dist`` rows: ``measure`` per author union, then per paper.
+        tables["summary"] = (0, [
+            ["papers", str(len(in_period))],
+            ["authors", str(len(unions))],
+            ["papers_per_author", per_author(listed)],
+            ["authors_per_paper", per_paper(listed)],
+            ["pacs_codes_per_author", per_author(sum(map(len, unions.values())))],
+            ["pacs_codes_per_paper", per_paper(sum(len(papers[doi][2]) for doi in in_period))],
+            ["author_diversity_mean", per_author(sum(map(_raw_diversity, unions.values())))],
+            ["paper_diversity_mean", per_paper(sum(_raw_diversity(papers[doi][2]) for doi in in_period))],
+            ["citations_per_paper", per_paper(sum(age >= 0 for doi in in_period for age in ages.get(doi, ())))],
+        ])
+        tables["pacs-counts"] = (0, distribution(len))
+        tables["diversity-dist"] = (0, distribution(_raw_diversity))
+        tables["citation-age"] = (0, series(in_period))
+    else:
+        tables.update(dict.fromkeys(_RAW_PERIOD_COMMANDS, (6, None)))
 
-    Empty sets count only with ``include_zero_pacs``; None for an empty period.
-    """
-    if not in_period:
-        return None
-    rows = []
-    for entity, sets in (("author", unions.values()), ("paper", [codes[obj["doi"]] for obj in in_period])):
-        values = [measure(texts) for texts in sets if texts or include_zero_pacs]
-        rows += [[entity, str(v), f"{values.count(v) / len(values):.6f}"] for v in sorted(set(values))]
-    return rows
-
-
-def _raw_summary(in_period, codes, ages, unions):
-    """The nine ``summary`` rows over the accepted records ``in_period``.
-
-    ``unions`` is ``_raw_unions`` of them, so an author whose papers
-    carry no code counts with zero codes and diversity 0.
-    """
-    listed = sum(len(set(map(_raw_name, obj["authors"]))) for obj in in_period)
-    papers = len(in_period)
-    authors = len(unions)
-
-    def per_author(total):
-        return f"{total / authors if authors else 0.0:.6f}"
-
-    return [
-        ["papers", str(papers)],
-        ["authors", str(authors)],
-        ["papers_per_author", per_author(listed)],
-        ["authors_per_paper", f"{listed / papers:.6f}"],
-        ["pacs_codes_per_author", per_author(sum(map(len, unions.values())))],
-        ["pacs_codes_per_paper", f"{sum(len(codes[obj['doi']]) for obj in in_period) / papers:.6f}"],
-        ["author_diversity_mean", per_author(sum(map(_raw_diversity, unions.values())))],
-        ["paper_diversity_mean", f"{sum(_raw_diversity(codes[obj['doi']]) for obj in in_period) / papers:.6f}"],
-        ["citations_per_paper", f"{sum(age >= 0 for obj in in_period for age in ages[obj['doi']]) / papers:.6f}"],
-    ]
-
-
-def raw_author_unions(path, window, cumulative=False):
-    """Per-author PACS code unions of a lenient load, from the raw bytes.
-
-    ``window`` is a half-open (start, end) pair of years. The authors
-    are those of the accepted records published in it, in order of first
-    appearance; each maps to the set of "AB.CD" strings on their records
-    in the window or, with ``cumulative``, in any year before its end.
-    """
-    start, end = window
-    accepted, _ = _raw_accepted(path)
-    unions = {}
-    for obj in accepted:
-        if start <= _raw_year(obj["date"]) < end:
-            for raw in obj["authors"]:
-                unions.setdefault(_raw_name(raw), set())
-    for obj in accepted:
-        year = _raw_year(obj["date"])
-        if year < end and (cumulative or year >= start):
-            codes = _raw_codes(obj)
-            for raw in obj["authors"]:
-                name = _raw_name(raw)
-                if name in unions:
-                    unions[name] |= codes
-    return unions
-
-
-def raw_group_tables(path, settings):
-    """The ``groups`` and ``flows`` CSV rows of a lenient load, from the raw bytes.
-
-    ``settings`` holds ``windows``, a list of distinct half-open
-    (start, end) pairs in flag order; ``starts``, the ascending lower
-    bounds of the G1..Gn diversity groups, the first 0 and the last
-    open-ended; and the booleans ``cumulative`` and
-    ``include_zero_pacs``. An author's diversity in a window is
-    ``block_count_diversity`` of their ``raw_author_unions`` entry.
-    Returns {command: (exit code, rows as written or None)}.
-    """
-    windows, starts = settings["windows"], settings["starts"]
+    windows, starts = settings["windows"], settings["groups"]
     labels = [f"G{i}" for i in range(1, len(starts) + 1)]
-
-    def group(texts):
-        diversity = _raw_diversity(texts)
-        return labels[max(i for i, start in enumerate(starts) if start <= diversity)]
-
-    per_window = []
-    for window in windows:
-        unions = raw_author_unions(path, window, cumulative=settings["cumulative"])
-        per_window.append(
-            {name: group(texts) for name, texts in unions.items() if texts or settings["include_zero_pacs"]}
-        )
-    labelled = [(f"{start}-{end}", groups) for (start, end), groups in zip(windows, per_window)]
-    groups_rows = [
+    labelled = []
+    for start, end in windows:
+        unions = raw_author_unions(recount, (start, end), cumulative=settings["cumulative"])
+        groups = {
+            name: _raw_label(_raw_diversity(codes), starts, labels)
+            for name, codes in unions.items()
+            if codes or zero
+        }
+        labelled.append((f"{start}-{end}", groups))
+    tables["groups"] = (0, [
         [label] + [f"{list(groups.values()).count(g) / len(groups):.6f}" for g in labels]
         for label, groups in labelled
         if groups
-    ]
-    tables = {"groups": (0, groups_rows)}
+    ])
     if len(windows) < 2:
         tables["flows"] = (2, None)
     elif any(later[0] < earlier[1] for earlier, later in zip(windows, windows[1:])):
         tables["flows"] = (8, None)
     else:
-        flows_rows = []
+        rows = []
         for (from_label, before), (to_label, after) in zip(labelled, labelled[1:]):
             pair = [from_label, to_label]
             moved = [(before[name], after[name]) for name in before if name in after]
             for g in labels:
-                flows_rows += [pair + ["flow", g, h, str(moved.count((g, h)))] for h in labels]
+                rows += [pair + ["flow", g, h, str(moved.count((g, h)))] for h in labels]
             entrants = [after[name] for name in after if name not in before]
-            flows_rows += [pair + ["entrants", "", h, str(entrants.count(h))] for h in labels]
+            rows += [pair + ["entrants", "", h, str(entrants.count(h))] for h in labels]
             leavers = [before[name] for name in before if name not in after]
-            flows_rows += [pair + ["leavers", g, "", str(leavers.count(g))] for g in labels]
-        tables["flows"] = (0, flows_rows)
+            rows += [pair + ["leavers", g, "", str(leavers.count(g))] for g in labels]
+        tables["flows"] = (0, rows)
+
+    band_starts = settings["bands"]
+    if len(band_starts) == 3:
+        band_labels = ["low", "medium", "high"]
+    else:
+        band_labels = [f"band{i}" for i in range(1, len(band_starts) + 1)]
+    diversity = {doi: _raw_diversity(codes) for doi, (_, _, codes) in papers.items() if codes or zero}
+    keyed = {
+        f"{start}-{end}": [doi for doi in diversity if start <= papers[doi][0] < end]
+        for start, end in settings["cohorts"]
+    }
+
+    def by_key(dois, starts, labels):
+        """The papers under each label that holds any, in label order."""
+        bins = {label: [] for label in labels}
+        for doi in dois:
+            bins[_raw_label(diversity[doi], starts, labels)].append(doi)
+        return {label: members for label, members in bins.items() if members}
+
+    if not all(keyed.values()):
+        tables.update(dict.fromkeys(_RAW_COHORT_COMMANDS, (7, None)))
+    else:
+        citations, distributions = [], []
+        share = [[label] for label in _RAW_SHARE_LABELS]
+        for cohort, dois in keyed.items():
+            integer = by_key(dois, _RAW_INTEGER_STARTS, _RAW_INTEGER_LABELS)
+            for keying, members_by_key in (("integer", integer), ("band", by_key(dois, band_starts, band_labels))):
+                for key, members in members_by_key.items():
+                    citations += [[cohort, keying, key, *row] for row in series(members)]
+            for key, members in integer.items():
+                cited = [sum(0 <= age <= horizon for age in ages.get(doi, ())) for doi in members]
+                for c in range(max(cited) + 1):
+                    distributions.append([cohort, key, str(c), f"{cited.count(c) / len(cited):.6f}"])
+            shares = by_key(dois, _RAW_INTEGER_STARTS, _RAW_SHARE_LABELS)
+            for row in share:
+                row.append(f"{100.0 * len(shares.get(row[0], ())) / len(dois):.6f}")
+        tables["diversity-citations"] = (0, citations)
+        tables["citation-dist"] = (0, distributions)
+        tables["share"] = (0, share)
+
+    if recount["rejected_linenos"] and not settings["lenient"]:
+        tables.update({command: (4, None) for command in tables if command != "validate"})
     return tables
 
 

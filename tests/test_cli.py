@@ -1,4 +1,5 @@
 import builtins
+import contextlib
 import csv
 import gc
 import hashlib
@@ -18,15 +19,7 @@ from hypothesis import given, settings, strategies as st
 from pacsdiv import cli
 from pacsdiv.cli import _CONFIG_TYPES, DEFAULTS, main
 from conftest import ALL_COMMANDS, GOLDEN_ARGS, GOLDEN_DIR, paper, write_jsonl
-from helpers import (
-    _raw_accepted,
-    _raw_codes,
-    _raw_diversity,
-    messy_corpus,
-    raw_citation_tables,
-    raw_group_tables,
-    raw_ingest_recount,
-)
+from helpers import _raw_diversity, messy_corpus, raw_ingest_recount, raw_tables
 
 
 def run_cli(command, fixture_path, out_dir, *extra):
@@ -468,15 +461,6 @@ def test_validate_is_always_lenient(fixture_path, tmp_path, capsys):
     assert json.loads((tmp_path / "validate.meta.json").read_text())["settings"]["lenient"] is True
 
 
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_validate_counts_distinct_authors(seed, tmp_path, capsys):
-    path = messy_corpus(tmp_path / "messy.jsonl", 300, seed)
-    assert main(["validate", "--input", str(path), "--out-dir", str(tmp_path)]) == 0
-    expected = len(raw_ingest_recount(path)["papers_by_author"])
-    assert f"authors,{expected}" in (tmp_path / "validate.csv").read_text().splitlines()
-    assert json.loads((tmp_path / "validate.meta.json").read_text())["corpus"]["authors"] == expected
-
-
 @pytest.mark.parametrize(
     "command, flags",
     [(command, ()) for command in ALL_COMMANDS] + [("flows", ("--author-mode", "cumulative"))],
@@ -517,46 +501,12 @@ _PERIODS = st.none() | st.builds(
 )
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n_records=st.integers(20, 200),
-    horizon=st.integers(1, 12),
-    split=st.integers(1991, 2001),
-    include_zero_pacs=st.booleans(),
-    period=_PERIODS,
-    band_starts=_GROUP_STARTS,
-)
-def test_citation_tables_match_raw_recount(
-    seed, n_records, horizon, split, include_zero_pacs, period, band_starts
-):
-    cohorts = [(1990, split), (split, 2002)]
-    flags = ["--lenient", "--horizon", str(horizon), "--cohorts", ",".join(f"{a}-{b}" for a, b in cohorts)]
-    flags += ["--bands", _group_spec(band_starts)]
-    if include_zero_pacs:
-        flags.append("--include-zero-pacs")
-    if period:
-        flags += ["--period", "{}-{}".format(*period)]
-    with tempfile.TemporaryDirectory() as tmp:
-        path = messy_corpus(Path(tmp) / "messy.jsonl", n_records, seed)
-        expected = raw_citation_tables(path, cohorts, horizon, include_zero_pacs, period, band_starts)
-        for command, rows in expected.items():
-            code = main([command, "--input", str(path), "--out-dir", tmp, *flags])
-            if rows is None:
-                assert code == (6 if command in ("summary", "pacs-counts", "diversity-dist", "citation-age") else 7), command
-                continue
-            assert code == 0, command
-            with open(Path(tmp) / f"{command}.csv", newline="", encoding="utf-8") as handle:
-                written = list(csv.reader(handle))[1:]
-            assert written == rows, command
-
-
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_messy_corpus_reaches_the_pooled_keys(seed, tmp_path):
-    # the recount above checks how share pools 9+ and the integer keying
+    # the recount below checks how share pools 9+ and the integer keying
     # 8+ only on corpora that hold papers of diversity 8 and above 8
-    accepted, _ = _raw_accepted(messy_corpus(tmp_path / "messy.jsonl", 300, seed))
-    diversities = [_raw_diversity(_raw_codes(obj)) for obj in accepted]
+    papers = raw_ingest_recount(messy_corpus(tmp_path / "messy.jsonl", 300, seed))["papers"]
+    diversities = [_raw_diversity(codes) for _, _, codes in papers.values()]
     assert 8 in diversities
     assert max(diversities) >= 9
 
@@ -580,34 +530,71 @@ _WINDOWS = st.one_of(
         min_size=1, max_size=4, unique=True,
     ),
 )
-@settings(max_examples=60, deadline=None)
+
+
+def _ranges(pairs):
+    return ",".join(f"{start}-{end}" for start, end in pairs)
+
+
+# one to three distinct cohorts around the messy corpora's 1990-2001, in
+# any order, overlapping too
+_COHORTS = st.lists(
+    st.builds(lambda start, length: (start, start + length), st.integers(1989, 2001), st.integers(1, 8)),
+    min_size=1, max_size=3, unique=True,
+)
+
+
+@settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n_records=st.integers(20, 150),
-    windows=_WINDOWS,
-    starts=_GROUP_STARTS,
-    cumulative=st.booleans(),
+    n_records=st.integers(20, 200),
+    period=_PERIODS,
+    horizon=st.integers(1, 12),
     include_zero_pacs=st.booleans(),
+    cohorts=_COHORTS,
+    windows=_WINDOWS,
+    groups=_GROUP_STARTS,
+    bands=_GROUP_STARTS,
+    cumulative=st.booleans(),
+    strict_too=st.booleans(),
 )
-def test_group_tables_match_raw_recount(seed, n_records, windows, starts, cumulative, include_zero_pacs):
+def test_every_table_matches_raw_recount(seed, n_records, strict_too, **drawn):
+    # every example runs every command leniently, so each one compares
+    # tables; those that draw strict_too also run every command strict
     flags = [
-        "--lenient",
-        "--windows", ",".join(f"{a}-{b}" for a, b in windows),
-        "--groups", _group_spec(starts),
-        "--author-mode", "cumulative" if cumulative else "windowed",
+        "--horizon", str(drawn["horizon"]),
+        "--cohorts", _ranges(drawn["cohorts"]),
+        "--windows", _ranges(drawn["windows"]),
+        "--groups", _group_spec(drawn["groups"]),
+        "--bands", _group_spec(drawn["bands"]),
+        "--author-mode", "cumulative" if drawn["cumulative"] else "windowed",
     ]
-    if include_zero_pacs:
+    if drawn["period"]:
+        flags += ["--period", _ranges([drawn["period"]])]
+    if drawn["include_zero_pacs"]:
         flags.append("--include-zero-pacs")
-    recount = {"windows": windows, "starts": starts, "cumulative": cumulative, "include_zero_pacs": include_zero_pacs}
     with tempfile.TemporaryDirectory() as tmp:
         path = messy_corpus(Path(tmp) / "messy.jsonl", n_records, seed)
-        for command, (code, rows) in raw_group_tables(path, recount).items():
-            assert main([command, "--input", str(path), "--out-dir", tmp, *flags]) == code, command
-            if rows is None:
-                continue
-            with open(Path(tmp) / f"{command}.csv", newline="", encoding="utf-8") as handle:
-                written = list(csv.reader(handle))[1:]
-            assert written == rows, command
+        recount = raw_ingest_recount(path)
+        for lenient in (False, True) if strict_too else (True,):
+            out = Path(tmp) / f"lenient-{lenient}"
+            for command, (code, rows) in raw_tables(path, dict(drawn, lenient=lenient)).items():
+                argv = [command, "--input", str(path), "--out-dir", str(out), *flags] + ["--lenient"] * lenient
+                # Hypothesis rejects capsys, a function-scoped fixture
+                stderr = io.StringIO()
+                with contextlib.redirect_stderr(stderr):
+                    assert main(argv) == code, (command, lenient)
+                if code == 4:
+                    first = recount["rejected_linenos"][0]
+                    assert stderr.getvalue().startswith(f"pacsdiv {command}: error: line {first}:"), command
+                if rows is None:
+                    assert not (out / f"{command}.csv").exists(), command
+                    continue
+                with open(out / f"{command}.csv", newline="", encoding="utf-8") as handle:
+                    assert list(csv.reader(handle))[1:] == rows, (command, lenient)
+                meta = json.loads((out / f"{command}.meta.json").read_text(encoding="utf-8"))
+                assert meta["ingest"] == recount["ingest"], command
+                assert meta["corpus"] == recount["corpus"], command
 
 
 # every command in turn, in one interpreter; prints each exit code

@@ -1,8 +1,9 @@
 """The code-set layer imports nothing from the layers built on it, the
 package exports no test-only code and declares each export once, in its
 module's ``__all__``, every private name it defines is used, every
-public name and dataclass field has a reader in the package and every
-config field has a setter."""
+public name and dataclass field has a reader in the package, every
+config field has a setter and the benchmark's checks read only names the
+test reference defines."""
 
 import ast
 import dataclasses
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+import helpers
 import pacsdiv
 from pacsdiv.cli import RunConfig
 
@@ -61,6 +63,20 @@ TEST_ONLY_NAMES = (
 def test_package_exports_no_test_only_code(name):
     assert not hasattr(pacsdiv, name)
     assert name not in pacsdiv.__all__
+
+
+def test_benchmark_checks_use_only_names_helpers_defines():
+    # perfbench/checks.py loads tests/helpers.py as ``helpers``; a name it
+    # reads that the reference lost would surface only as a failed benchmark
+    root = Path(__file__).parent.parent
+    tree = ast.parse((root / "perfbench" / "checks.py").read_text(encoding="utf-8"))
+    used = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "helpers"
+    }
+    assert used, "found no helpers.<name> in perfbench/checks.py"
+    assert [name for name in sorted(used) if not hasattr(helpers, name)] == []
 
 
 def test_kernel_module_exports_only_the_kernel():

@@ -12,8 +12,11 @@ def test_short_form_same_century():
 
 
 def test_short_form_century_roll():
+    # a two-digit end is the first later year ending in those digits,
+    # however far: a swapped short form reaches into the next century
     assert parse_year_range("1995-00") == YearRange(1995, 2000)
     assert parse_year_range("2098-02") == YearRange(2098, 2102)
+    assert parse_year_range("1995-90") == YearRange(1995, 2090)
 
 
 def test_half_open_membership():
