@@ -461,6 +461,15 @@ def test_validate_is_always_lenient(fixture_path, tmp_path, capsys):
     assert json.loads((tmp_path / "validate.meta.json").read_text())["settings"]["lenient"] is True
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_validate_counts_distinct_authors(seed, tmp_path, capsys):
+    path = messy_corpus(tmp_path / "messy.jsonl", 300, seed)
+    assert main(["validate", "--input", str(path), "--out-dir", str(tmp_path)]) == 0
+    expected = len(raw_ingest_recount(path)["papers_by_author"])
+    assert f"authors,{expected}" in (tmp_path / "validate.csv").read_text().splitlines()
+    assert json.loads((tmp_path / "validate.meta.json").read_text())["corpus"]["authors"] == expected
+
+
 @pytest.mark.parametrize(
     "command, flags",
     [(command, ()) for command in ALL_COMMANDS] + [("flows", ("--author-mode", "cumulative"))],
@@ -544,6 +553,49 @@ _COHORTS = st.lists(
 )
 
 
+def _assert_runs_match_raw_recount(seed, n_records, drawn, commands=ALL_COMMANDS, lenient_modes=(True,)):
+    """Run ``commands`` on a messy corpus under the drawn settings, once per
+    lenient mode, and compare each run with ``helpers.raw_tables``: exit
+    code, CSV rows after the header, no table on a non-zero exit, the
+    sidecar's ingest and corpus blocks, and on exit 4 the line stderr names."""
+    flags = [
+        "--horizon", str(drawn["horizon"]),
+        "--cohorts", _ranges(drawn["cohorts"]),
+        "--windows", _ranges(drawn["windows"]),
+        "--groups", _group_spec(drawn["groups"]),
+        "--bands", _group_spec(drawn["bands"]),
+        "--author-mode", "cumulative" if drawn["cumulative"] else "windowed",
+    ]
+    if drawn["period"]:
+        flags += ["--period", _ranges([drawn["period"]])]
+    if drawn["include_zero_pacs"]:
+        flags.append("--include-zero-pacs")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = messy_corpus(Path(tmp) / "messy.jsonl", n_records, seed)
+        recount = raw_ingest_recount(path)
+        for lenient in lenient_modes:
+            out = Path(tmp) / f"lenient-{lenient}"
+            expected = raw_tables(path, dict(drawn, lenient=lenient))
+            for command in commands:
+                code, rows = expected[command]
+                argv = [command, "--input", str(path), "--out-dir", str(out), *flags] + ["--lenient"] * lenient
+                # Hypothesis rejects capsys, a function-scoped fixture
+                stderr = io.StringIO()
+                with contextlib.redirect_stderr(stderr):
+                    assert main(argv) == code, (command, lenient)
+                if code == 4:
+                    first = recount["rejected_linenos"][0]
+                    assert stderr.getvalue().startswith(f"pacsdiv {command}: error: line {first}:"), command
+                if rows is None:
+                    assert not (out / f"{command}.csv").exists(), command
+                    continue
+                with open(out / f"{command}.csv", newline="", encoding="utf-8") as handle:
+                    assert list(csv.reader(handle))[1:] == rows, (command, lenient)
+                meta = json.loads((out / f"{command}.meta.json").read_text(encoding="utf-8"))
+                assert meta["ingest"] == recount["ingest"], command
+                assert meta["corpus"] == recount["corpus"], command
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -561,40 +613,40 @@ _COHORTS = st.lists(
 def test_every_table_matches_raw_recount(seed, n_records, strict_too, **drawn):
     # every example runs every command leniently, so each one compares
     # tables; those that draw strict_too also run every command strict
-    flags = [
-        "--horizon", str(drawn["horizon"]),
-        "--cohorts", _ranges(drawn["cohorts"]),
-        "--windows", _ranges(drawn["windows"]),
-        "--groups", _group_spec(drawn["groups"]),
-        "--bands", _group_spec(drawn["bands"]),
-        "--author-mode", "cumulative" if drawn["cumulative"] else "windowed",
-    ]
-    if drawn["period"]:
-        flags += ["--period", _ranges([drawn["period"]])]
-    if drawn["include_zero_pacs"]:
-        flags.append("--include-zero-pacs")
-    with tempfile.TemporaryDirectory() as tmp:
-        path = messy_corpus(Path(tmp) / "messy.jsonl", n_records, seed)
-        recount = raw_ingest_recount(path)
-        for lenient in (False, True) if strict_too else (True,):
-            out = Path(tmp) / f"lenient-{lenient}"
-            for command, (code, rows) in raw_tables(path, dict(drawn, lenient=lenient)).items():
-                argv = [command, "--input", str(path), "--out-dir", str(out), *flags] + ["--lenient"] * lenient
-                # Hypothesis rejects capsys, a function-scoped fixture
-                stderr = io.StringIO()
-                with contextlib.redirect_stderr(stderr):
-                    assert main(argv) == code, (command, lenient)
-                if code == 4:
-                    first = recount["rejected_linenos"][0]
-                    assert stderr.getvalue().startswith(f"pacsdiv {command}: error: line {first}:"), command
-                if rows is None:
-                    assert not (out / f"{command}.csv").exists(), command
-                    continue
-                with open(out / f"{command}.csv", newline="", encoding="utf-8") as handle:
-                    assert list(csv.reader(handle))[1:] == rows, (command, lenient)
-                meta = json.loads((out / f"{command}.meta.json").read_text(encoding="utf-8"))
-                assert meta["ingest"] == recount["ingest"], command
-                assert meta["corpus"] == recount["corpus"], command
+    _assert_runs_match_raw_recount(seed, n_records, drawn, lenient_modes=(False, True) if strict_too else (True,))
+
+
+# the eight citation tables under two adjacent cohorts, and the two group
+# tables, each drawn over the settings those tables read
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_records=st.integers(20, 200),
+    horizon=st.integers(1, 12),
+    split=st.integers(1991, 2001),
+    include_zero_pacs=st.booleans(),
+    period=_PERIODS,
+    bands=_GROUP_STARTS,
+)
+def test_citation_tables_match_raw_recount(seed, n_records, split, **drawn):
+    drawn.update(cohorts=[(1990, split), (split, 2002)], windows=[(1990, 1996), (1996, 2002)], groups=[0, 3, 6])
+    commands = ["summary", "pacs-coverage", "pacs-counts", "diversity-dist", "citation-age"]
+    commands += ["diversity-citations", "citation-dist", "share"]
+    _assert_runs_match_raw_recount(seed, n_records, dict(drawn, cumulative=False), commands)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_records=st.integers(20, 150),
+    windows=_WINDOWS,
+    groups=_GROUP_STARTS,
+    cumulative=st.booleans(),
+    include_zero_pacs=st.booleans(),
+)
+def test_group_tables_match_raw_recount(seed, n_records, **drawn):
+    drawn.update(period=None, horizon=10, cohorts=[(1990, 1996), (1996, 2002)], bands=[0, 3, 6])
+    _assert_runs_match_raw_recount(seed, n_records, drawn, ["groups", "flows"])
 
 
 # every command in turn, in one interpreter; prints each exit code
