@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import gc
 import hashlib
 import io
@@ -365,6 +366,9 @@ COMMANDS: dict[str, Callable[..., Table]] = {
 # configuration
 
 
+# built on the first call and shared by every later one in the process;
+# a parse keeps no state in the parser, and dispatch reads COMMANDS anew
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     for name, (default, _, help_text, options) in _FLAGS.items():

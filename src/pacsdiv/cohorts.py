@@ -11,9 +11,11 @@ Every table takes its settings explicitly; the library holds no
 default of its own. Group membership rests on WINDOWED author diversity
 -- the union of codes within that window only -- unless ``cumulative``
 is set, which takes codes from the start of the corpus through the
-window's end. Both unions come from ``Corpus.author_unions``, which
-this module passes the flag to. Cumulative unions only grow, so they
-can never flow toward lower groups.
+window's end. Both come from the author index behind
+``Corpus.author_unions`` as code-set masks, measured by the kernel's
+private mask step; cumulatively, every window is taken from one
+chronological walk over the papers. Cumulative unions only grow, so
+they can never flow toward lower groups.
 
 Papers without any PACS code are excluded from diversity-keyed tables
 unless ``include_zero_pacs`` is set, which admits them as diversity 0.
@@ -26,10 +28,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .corpus import Corpus, PaperRecord
-from .diversity import weitzman_diversity
+from .diversity import _CodeBits, _diversity
 from .errors import ConfigError, EmptyCohort, EmptyPeriod, OverlappingWindows
 from .years import YearRange
 
@@ -156,19 +158,24 @@ SHARE_KEY_SCHEME = _integer_key_scheme("9+")
 
 def _author_groups(
     corpus: Corpus,
-    window: YearRange,
+    windows: Sequence[YearRange],
     scheme: DiversityGroupScheme,
     cumulative: bool,
     include_zero_pacs: bool,
-) -> dict[str, str]:
-    divs = {
-        author: weitzman_diversity(union)
-        for author, union in corpus.author_unions(window, cumulative=cumulative)
-        if union or include_zero_pacs
-    }
+) -> Iterator[tuple[YearRange, dict[str, str]]]:
+    """Each window with its groupable authors' labels, windows by ascending end."""
     # authors share few distinct diversities: look each one's label up once
-    labels = {diversity: assign_group(diversity, scheme) for diversity in set(divs.values())}
-    return {author: labels[diversity] for author, diversity in divs.items()}
+    labels: dict[int, str] = {}
+    for window, masks in corpus._author_masks(windows, cumulative=cumulative, bits=_CodeBits()):
+        groups = {}
+        for author, mask in masks.items():
+            if mask or include_zero_pacs:
+                diversity = _diversity(mask)
+                label = labels.get(diversity)
+                if label is None:
+                    label = labels[diversity] = assign_group(diversity, scheme)
+                groups[author] = label
+        yield window, groups
 
 
 def group_fraction_table(
@@ -187,17 +194,17 @@ def group_fraction_table(
     through the window's end; ``include_zero_pacs`` admits authors
     without codes as diversity 0.
     """
-    table: dict[str, dict[str, float]] = {}
-    for window in windows:
-        groups = _author_groups(corpus, window, scheme, cumulative, include_zero_pacs)
+    rows: dict[YearRange, dict[str, float]] = {}
+    for window, groups in _author_groups(corpus, windows, scheme, cumulative, include_zero_pacs):
         if not groups:
             continue
         counts = {label: 0 for label in scheme.labels}
         for label in groups.values():
             counts[label] += 1
         total = len(groups)
-        table[window.label] = {label: counts[label] / total for label in scheme.labels}
-    return table
+        rows[window] = {label: counts[label] / total for label in scheme.labels}
+    # built by window end, given in the caller's order
+    return {window.label: rows[window] for window in windows if window in rows}
 
 
 @dataclass(frozen=True, slots=True)
@@ -246,9 +253,8 @@ def transition_flows(
                 f"windows {earlier.label} and {later.label} overlap or are out of order"
             )
 
-    per_window = [
-        _author_groups(corpus, w, scheme, cumulative, include_zero_pacs) for w in windows
-    ]
+    # chronological windows come in their own order
+    per_window = [groups for _, groups in _author_groups(corpus, windows, scheme, cumulative, include_zero_pacs)]
     matrices: list[FlowMatrix] = []
     for i in range(len(windows) - 1):
         from_groups, to_groups = per_window[i], per_window[i + 1]
@@ -333,10 +339,11 @@ def _cohort_diversity_keys(
     EmptyCohort
         If the cohort holds no keyed papers.
     """
+    bits = _CodeBits()
     by_diversity: dict[int, list[PaperRecord]] = {}
     for record in corpus.papers_in(cohort):
         if record.pacs or include_zero_pacs:
-            by_diversity.setdefault(weitzman_diversity(record.pacs), []).append(record)
+            by_diversity.setdefault(_diversity(bits.mask(record.pacs)), []).append(record)
     if not by_diversity:
         raise EmptyCohort(f"no diversity-keyed papers in {cohort.label}")
     # every scheme starts at 0 and ascends, so ascending diversities meet

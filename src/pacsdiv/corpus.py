@@ -28,15 +28,15 @@ computed here and nowhere else. Negative ages are kept in the index (each
 is still one reference) but counted at load time, so age-based analyses
 can skip them as data errors.
 
-The per-period measures live here too: they apply the code-set kernel of
-``diversity`` to in-period papers' codes and to ``Corpus.author_unions``.
-A paper's diversity is the kernel on ``record.pacs``, an author's the
-kernel on the union ``author_unions`` pairs them with, over one window
-or, cumulatively, from the corpus start through its end. That method is
-the one per-author index of the package, for every table in both modes.
-Its unions are built one author at a time from the records' shared code
-tuples, and each table measures one and drops it before the next, so no
-table holds every author's union at once.
+The per-period measures live here too. They count code sets as the bit
+masks of ``diversity``: a paper's mask is the OR of its codes' masks, an
+author's the OR of their papers' masks over one window or, cumulatively,
+from the corpus start through its end, and every count and diversity is
+a popcount of one. ``Corpus._author_masks`` is the one per-author index
+of the package, for every table in both modes and for
+``Corpus.author_unions``, which decodes each author's mask into a set.
+It holds one int per author, built in one pass with one code-to-bit
+table and dropped after it; nothing is stored on the corpus.
 """
 
 from __future__ import annotations
@@ -48,10 +48,10 @@ from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from datetime import date
 from json.scanner import make_scanner
-from operator import itemgetter
-from typing import Any, Callable, Collection, Iterable, Iterator, Mapping
+from operator import attrgetter, itemgetter
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .diversity import weitzman_diversity
+from .diversity import _code_count, _CodeBits, _diversity
 from .errors import DuplicateDoi, EmptyPeriod, FormatError, IoFailure, MalformedCode
 from .taxonomy import PacsCode, parse_pacs
 from .years import YearRange
@@ -141,9 +141,9 @@ class Corpus:
     a cited DOI to the ages of its citations from papers in the corpus:
     each citing pub_year minus the cited one, one per reference, in file
     order of the citing papers, negative ages included. DOIs nobody cites
-    have no entry. Nothing per author is stored: ``author_unions`` derives
-    each author's codes from the records when asked, one author at a
-    time. Treat every container as frozen.
+    have no entry. Nothing per author is stored: ``_author_masks`` derives
+    each author's codes from the records when asked. Treat every
+    container as frozen.
     """
 
     papers: Mapping[str, PaperRecord]
@@ -171,31 +171,69 @@ class Corpus:
         whose papers carry no code gets an empty set. The union holds the
         codes of the author's papers in ``period`` and, with
         ``cumulative``, of their papers from every year before it, so it
-        covers the corpus start through ``period.end``. That is one scan
-        of the period, plus one over the earlier papers when cumulative.
-        The index behind the pairs holds only references to the records'
-        shared ``pacs`` tuples, which are read-only. Each union is a
-        fresh set built as its pair is yielded, so no more than the
-        caller keeps is alive.
+        covers the corpus start through ``period.end``. The index behind
+        the pairs holds one int per author, the mask of its codes that
+        ``_author_masks`` builds. Each union is a fresh set decoded from
+        its mask as its pair is yielded, so no more than the caller keeps
+        is alive.
         """
-        code_sets: dict[str, list[tuple[PacsCode, ...]]] = {}
-        for record in self.papers_in(period):
-            codes = record.pacs
-            for author in record.authors:
-                tuples = code_sets.get(author)
-                if tuples is None:
-                    code_sets[author] = [codes]
-                else:
-                    tuples.append(codes)
-        if cumulative:
-            for record in self.papers.values():
-                if record.pub_year < period.start:
+        bits = _CodeBits()
+        ((_, masks),) = self._author_masks([period], cumulative=cumulative, bits=bits)
+        codes = bits.decoder()
+        for author, mask in masks.items():
+            yield author, codes(mask)
+
+    def _author_masks(
+        self, windows: Sequence[YearRange], *, cumulative: bool, bits: _CodeBits
+    ) -> Iterator[tuple[YearRange, dict[str, int]]]:
+        """Each window with its authors' code masks from ``bits``, windows by ascending end.
+
+        The authors of a window are those on its papers, in order of
+        first appearance there; windows with equal ends keep the given
+        order. Windowed, an author's mask holds the codes of their papers
+        in the window, from one ``papers_in`` scan per window. With
+        ``cumulative`` it holds those of every paper of theirs published
+        before the window's end: one pass files the papers by year and by
+        window, then one chronological walk carries each author's running
+        mask forward, and each window takes its authors' masks when the
+        walk reaches its end.
+        """
+        in_end_order = sorted(windows, key=attrgetter("end"))
+        if not cumulative:
+            for window in in_end_order:
+                masks: dict[str, int] = {}
+                for record in self.papers_in(window):
+                    mask = bits.mask(record.pacs)
                     for author in record.authors:
-                        tuples = code_sets.get(author)
-                        if tuples is not None:
-                            tuples.append(record.pacs)
-        for author, tuples in code_sets.items():
-            yield author, set().union(*tuples)
+                        masks[author] = masks.get(author, 0) | mask
+                yield window, masks
+            return
+        by_year: dict[int, list[PaperRecord]] = {}
+        # each window's papers in file order, and per year the lists of the
+        # windows that hold it
+        in_window: list[list[PaperRecord]] = [[] for _ in in_end_order]
+        holders: dict[int, list[list[PaperRecord]]] = {}
+        for record in self.papers.values():
+            year = record.pub_year
+            papers = by_year.get(year)
+            if papers is None:
+                papers = by_year[year] = []
+                holders[year] = [listed for window, listed in zip(in_end_order, in_window) if year in window]
+            papers.append(record)
+            for listed in holders[year]:
+                listed.append(record)
+        del holders
+        running: dict[str, int] = {}
+        years = sorted(by_year, reverse=True)
+        for window in in_end_order:
+            while years and years[-1] < window.end:
+                for record in by_year.pop(years.pop()):
+                    mask = bits.mask(record.pacs)
+                    for author in record.authors:
+                        running[author] = running.get(author, 0) | mask
+            # each window's list is dropped once its masks are taken
+            window_papers = in_window.pop(0)
+            yield window, {author: running[author] for record in window_papers for author in record.authors}
 
 
 _REQUIRED_FIELDS = ("doi", "title", "authors", "date", "pacs", "refs")
@@ -545,21 +583,23 @@ def _histogram(values: Iterable[int]) -> dict[int, float]:
 
 
 def _distributions(
-    corpus: Corpus, period: YearRange, measure: Callable[[Collection[PacsCode]], int], include_zero_pacs: bool
+    corpus: Corpus, period: YearRange, measure: Callable[[int], int], include_zero_pacs: bool
 ) -> _Histograms:
     """Normalized histograms of ``measure`` over a period: (per-author, per-paper).
 
-    ``measure`` sees each author's code union over the period and each
-    in-period paper's own codes; empty sets count only with ``include_zero_pacs``.
+    ``measure`` sees the mask of each author's code union over the period
+    and of each in-period paper's own codes; empty sets count only with
+    ``include_zero_pacs``.
     """
     papers = [record.pacs for record in corpus.papers_in(period)]
     if not papers:
         raise EmptyPeriod(f"no papers in {period.label}")
-    # one author's union at a time: each is measured, then dropped
-    unions = (union for _, union in corpus.author_unions(period, cumulative=False))
+    bits = _CodeBits()
+    ((_, authors),) = corpus._author_masks([period], cumulative=False, bits=bits)
+    # each paper's mask is built as it is measured, so no more than one is alive
     return tuple(
-        _histogram(measure(codes) for codes in sets if codes or include_zero_pacs)
-        for sets in (unions, papers)
+        _histogram(measure(mask) for mask in masks if mask or include_zero_pacs)
+        for masks in (authors.values(), map(bits.mask, papers))
     )
 
 
@@ -577,7 +617,7 @@ def pacs_count_distributions(corpus: Corpus, period: YearRange, *, include_zero_
     EmptyPeriod
         If no paper falls inside the period.
     """
-    return _distributions(corpus, period, len, include_zero_pacs)
+    return _distributions(corpus, period, _code_count, include_zero_pacs)
 
 
 def diversity_distributions(corpus: Corpus, period: YearRange, *, include_zero_pacs: bool) -> _Histograms:
@@ -592,7 +632,7 @@ def diversity_distributions(corpus: Corpus, period: YearRange, *, include_zero_p
     EmptyPeriod
         If no paper falls inside the period.
     """
-    return _distributions(corpus, period, weitzman_diversity, include_zero_pacs)
+    return _distributions(corpus, period, _diversity, include_zero_pacs)
 
 
 def corpus_summary(corpus: Corpus, period: YearRange) -> dict[str, int | float]:
@@ -618,6 +658,7 @@ def corpus_summary(corpus: Corpus, period: YearRange) -> dict[str, int | float]:
     if not in_period:
         raise EmptyPeriod(f"no papers in {period.label}")
 
+    bits = _CodeBits()
     total_authors_listed = 0
     total_codes = 0
     total_paper_div = 0
@@ -625,17 +666,15 @@ def corpus_summary(corpus: Corpus, period: YearRange) -> dict[str, int | float]:
     for record in in_period:
         total_authors_listed += len(record.authors)
         total_codes += len(record.pacs)
-        total_paper_div += weitzman_diversity(record.pacs)
+        total_paper_div += _diversity(bits.mask(record.pacs))
         for age in corpus.citations_in.get(record.doi, ()):
             if age >= 0:
                 total_citations += 1
 
-    n_authors = total_author_codes = total_author_div = 0
-    # last, so the final author's union lives only until the return
-    for _, union in corpus.author_unions(period, cumulative=False):
-        n_authors += 1
-        total_author_codes += len(union)
-        total_author_div += weitzman_diversity(union)
+    ((_, masks),) = corpus._author_masks([period], cumulative=False, bits=bits)
+    n_authors = len(masks)
+    total_author_codes = sum(map(_code_count, masks.values()))
+    total_author_div = sum(map(_diversity, masks.values()))
 
     n_papers = len(in_period)
     return {

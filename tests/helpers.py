@@ -422,10 +422,11 @@ def raw_tables(path, settings):
     open-ended; ``horizon``; and the booleans ``include_zero_pacs``,
     ``cumulative`` for the author mode and ``lenient``.
 
-    Returns {command: (exit code, rows as written or None)} for all 11
-    commands; rows are None exactly when the code is not 0. The codes
-    follow the CLI's precedence: configuration errors first (the
-    settings are taken as valid), then the load, then the table. A
+    Returns {command: (exit code, header, rows)} for all 11 commands, the
+    header and rows as written; both are None exactly when the code is
+    not 0. The codes follow the CLI's precedence: configuration errors
+    first (the settings are taken as valid), then the load, then the
+    table. A
     strict load that meets a rejected line exits 4 for every command
     but ``validate``, which always loads leniently; that holds even for
     ``flows`` with one window, which would otherwise exit 2. After the
@@ -577,7 +578,24 @@ def raw_tables(path, settings):
 
     if recount["rejected_linenos"] and not settings["lenient"]:
         tables.update({command: (4, None) for command in tables if command != "validate"})
-    return tables
+    series_columns = ["age", "papers", "citations", "mean_citations", "cumulative_mean"]
+    headers = {
+        "summary": ["statistic", "value"],
+        "pacs-coverage": ["year", "fraction"],
+        "pacs-counts": ["entity", "code_count", "fraction"],
+        "diversity-dist": ["entity", "diversity", "fraction"],
+        "groups": ["window", *labels],
+        "flows": ["from_window", "to_window", "kind", "from_group", "to_group", "count"],
+        "citation-age": series_columns,
+        "diversity-citations": ["cohort", "keying", "key", *series_columns],
+        "citation-dist": ["cohort", "key", "citations", "fraction"],
+        "share": ["diversity", *keyed],
+        "validate": ["metric", "value"],
+    }
+    return {
+        command: (code, None if rows is None else headers[command], rows)
+        for command, (code, rows) in tables.items()
+    }
 
 
 _NAMES = ("alice adams", "bob brown", "carol chen", "david müller", "erin evans", "frank fox")

@@ -1,3 +1,4 @@
+import argparse
 import builtins
 import contextlib
 import csv
@@ -556,7 +557,7 @@ _COHORTS = st.lists(
 def _assert_runs_match_raw_recount(seed, n_records, drawn, commands=ALL_COMMANDS, lenient_modes=(True,)):
     """Run ``commands`` on a messy corpus under the drawn settings, once per
     lenient mode, and compare each run with ``helpers.raw_tables``: exit
-    code, CSV rows after the header, no table on a non-zero exit, the
+    code, CSV header and rows, no table on a non-zero exit, the
     sidecar's ingest and corpus blocks, and on exit 4 the line stderr names."""
     flags = [
         "--horizon", str(drawn["horizon"]),
@@ -577,7 +578,7 @@ def _assert_runs_match_raw_recount(seed, n_records, drawn, commands=ALL_COMMANDS
             out = Path(tmp) / f"lenient-{lenient}"
             expected = raw_tables(path, dict(drawn, lenient=lenient))
             for command in commands:
-                code, rows = expected[command]
+                code, header, rows = expected[command]
                 argv = [command, "--input", str(path), "--out-dir", str(out), *flags] + ["--lenient"] * lenient
                 # Hypothesis rejects capsys, a function-scoped fixture
                 stderr = io.StringIO()
@@ -590,7 +591,7 @@ def _assert_runs_match_raw_recount(seed, n_records, drawn, commands=ALL_COMMANDS
                     assert not (out / f"{command}.csv").exists(), command
                     continue
                 with open(out / f"{command}.csv", newline="", encoding="utf-8") as handle:
-                    assert list(csv.reader(handle))[1:] == rows, (command, lenient)
+                    assert list(csv.reader(handle)) == [header, *rows], (command, lenient)
                 meta = json.loads((out / f"{command}.meta.json").read_text(encoding="utf-8"))
                 assert meta["ingest"] == recount["ingest"], command
                 assert meta["corpus"] == recount["corpus"], command
@@ -787,6 +788,24 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exit_info.value.code == 0
     assert capsys.readouterr().out.startswith("pacsdiv ")
+
+
+def test_parser_is_built_once_per_process(fixture_path, tmp_path, monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(parser, *args, **kwargs):
+        built.append(parser)
+        init(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run_cli("summary", fixture_path, tmp_path / "lenient", "--lenient") == 0
+    after_first = len(built)
+    assert run_cli("summary", fixture_path, tmp_path / "strict") == 0
+    assert len(built) == after_first
+    # no setting of one call leaks into the next
+    settings = [json.loads((tmp_path / run / "summary.meta.json").read_text())["settings"] for run in ("lenient", "strict")]
+    assert [run["lenient"] for run in settings] == [True, False]
 
 
 def test_version_declared_once():

@@ -12,6 +12,7 @@ from pacsdiv import (
     weitzman_diversity,
 )
 from pacsdiv.corpus import _histogram
+from pacsdiv.diversity import _code_count, _CodeBits, _diversity
 from conftest import paper
 from helpers import (
     ORACLE_SIZE_CAP,
@@ -123,6 +124,25 @@ def test_monotone_under_insertion(sample, extra):
 def test_bounds(sample):
     d = weitzman_diversity(sample)
     assert 0 <= d <= 3 * (len(sample) - 1)
+
+
+# the collections the mask step takes: lists with repeats, tuples and
+# sets, empty ones and singletons included, of up to 40 codes
+code_collections = st.lists(st.one_of(codes, any_code), max_size=40).flatmap(
+    lambda sample: st.sampled_from([sample, tuple(sample), set(sample)])
+)
+
+
+@given(code_collections, code_collections)
+def test_mask_step_matches_the_oracles(first, second):
+    bits = _CodeBits()
+    mask = bits.mask(first)
+    assert _diversity(mask) == block_count_diversity(first)
+    if len(set(first)) <= ORACLE_SIZE_CAP:
+        assert _diversity(mask) == weitzman_recursive_oracle(first)
+    assert _code_count(mask) == len(set(first))
+    union = mask | bits.mask(second)
+    assert bits.decoder()(union) == set(first) | set(second)
 
 
 def test_maximal_when_fields_disjoint():
