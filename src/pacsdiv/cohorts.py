@@ -13,9 +13,10 @@ default of its own. Group membership rests on WINDOWED author diversity
 is set, which takes codes from the start of the corpus through the
 window's end. Both come from the author index behind
 ``Corpus.author_unions`` as code-set masks, measured by the kernel's
-private mask step; cumulatively, every window is taken from one
-chronological walk over the papers. Cumulative unions only grow, so
-they can never flow toward lower groups.
+private mask step; in both modes one pass over the corpus files every
+window's papers, and cumulatively each window adds the papers published
+since the previous window's end to one running mask per author.
+Cumulative unions only grow, so they can never flow toward lower groups.
 
 Papers without any PACS code are excluded from diversity-keyed tables
 unless ``include_zero_pacs`` is set, which admits them as diversity 0.
@@ -166,7 +167,7 @@ def _author_groups(
     """Each window with its groupable authors' labels, windows by ascending end."""
     # authors share few distinct diversities: look each one's label up once
     labels: dict[int, str] = {}
-    for window, masks in corpus._author_masks(windows, cumulative=cumulative, bits=_CodeBits()):
+    for window, _, masks in corpus._author_masks(windows, cumulative=cumulative, bits=_CodeBits()):
         groups = {}
         for author, mask in masks.items():
             if mask or include_zero_pacs:

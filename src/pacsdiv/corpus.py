@@ -35,8 +35,10 @@ from the corpus start through its end, and every count and diversity is
 a popcount of one. ``Corpus._author_masks`` is the one per-author index
 of the package, for every table in both modes and for
 ``Corpus.author_unions``, which decodes each author's mask into a set.
-It holds one int per author, built in one pass with one code-to-bit
-table and dropped after it; nothing is stored on the corpus.
+In both modes one pass over the corpus files every window's papers, and
+the period tables take their papers from that pass too. The index holds
+one int per author, built with one code-to-bit table and dropped after
+it; nothing is stored on the corpus.
 """
 
 from __future__ import annotations
@@ -171,69 +173,64 @@ class Corpus:
         whose papers carry no code gets an empty set. The union holds the
         codes of the author's papers in ``period`` and, with
         ``cumulative``, of their papers from every year before it, so it
-        covers the corpus start through ``period.end``. The index behind
-        the pairs holds one int per author, the mask of its codes that
-        ``_author_masks`` builds. Each union is a fresh set decoded from
-        its mask as its pair is yielded, so no more than the caller keeps
-        is alive.
+        covers the corpus start through ``period.end``. In both modes one
+        pass over the corpus files the papers, and the index behind the
+        pairs holds one int per author, the mask of its codes that
+        ``_author_masks`` builds from them. Each union is a fresh set
+        decoded from its mask as its pair is yielded, so no more than the
+        caller keeps is alive.
         """
         bits = _CodeBits()
-        ((_, masks),) = self._author_masks([period], cumulative=cumulative, bits=bits)
+        ((_, _, masks),) = self._author_masks([period], cumulative=cumulative, bits=bits)
         codes = bits.decoder()
         for author, mask in masks.items():
             yield author, codes(mask)
 
     def _author_masks(
         self, windows: Sequence[YearRange], *, cumulative: bool, bits: _CodeBits
-    ) -> Iterator[tuple[YearRange, dict[str, int]]]:
-        """Each window with its authors' code masks from ``bits``, windows by ascending end.
+    ) -> Iterator[tuple[YearRange, list[PaperRecord], dict[str, int]]]:
+        """Each window with its papers and its authors' code masks from ``bits``.
 
-        The authors of a window are those on its papers, in order of
-        first appearance there; windows with equal ends keep the given
-        order. Windowed, an author's mask holds the codes of their papers
-        in the window, from one ``papers_in`` scan per window. With
-        ``cumulative`` it holds those of every paper of theirs published
-        before the window's end: one pass files the papers by year and by
-        window, then one chronological walk carries each author's running
-        mask forward, and each window takes its authors' masks when the
-        walk reaches its end.
+        Windows come by ascending end, those with equal ends in the given
+        order. A window's papers come in file order, its authors in order
+        of first appearance on them. In both modes one pass over the
+        corpus files every window's papers. Windowed, an author's mask is
+        the OR of their papers' masks in the window. With ``cumulative``
+        it holds the codes of every paper of theirs published before the
+        window's end: the pass also files each paper under the first
+        window ending after its year, each window ORs those papers into a
+        running mask per author, and takes its authors' masks from it.
         """
         in_end_order = sorted(windows, key=attrgetter("end"))
-        if not cumulative:
-            for window in in_end_order:
-                masks: dict[str, int] = {}
-                for record in self.papers_in(window):
-                    mask = bits.mask(record.pacs)
-                    for author in record.authors:
-                        masks[author] = masks.get(author, 0) | mask
-                yield window, masks
-            return
-        by_year: dict[int, list[PaperRecord]] = {}
-        # each window's papers in file order, and per year the lists of the
-        # windows that hold it
         in_window: list[list[PaperRecord]] = [[] for _ in in_end_order]
+        # the papers each window ORs in: its own, or cumulatively those
+        # published from the previous window's end up to its own
+        added = [[] for _ in in_end_order] if cumulative else list(in_window)
+        # per year, the lists that file its papers
         holders: dict[int, list[list[PaperRecord]]] = {}
         for record in self.papers.values():
-            year = record.pub_year
-            papers = by_year.get(year)
-            if papers is None:
-                papers = by_year[year] = []
-                holders[year] = [listed for window, listed in zip(in_end_order, in_window) if year in window]
-            papers.append(record)
-            for listed in holders[year]:
-                listed.append(record)
+            lists = holders.get(record.pub_year)
+            if lists is None:
+                year = record.pub_year
+                lists = holders[year] = [papers for window, papers in zip(in_end_order, in_window) if year in window]
+                if cumulative:
+                    lists += [papers for window, papers in zip(in_end_order, added) if year < window.end][:1]
+            for papers in lists:
+                papers.append(record)
         del holders
         running: dict[str, int] = {}
-        years = sorted(by_year, reverse=True)
         for window in in_end_order:
-            while years and years[-1] < window.end:
-                for record in by_year.pop(years.pop()):
-                    mask = bits.mask(record.pacs)
-                    for author in record.authors:
-                        running[author] = running.get(author, 0) | mask
-            # each window's list is dropped once its masks are taken
-            window_papers = in_window.pop(0)
-            yield window, {author: running[author] for record in window_papers for author in record.authors}
+            # each window's lists are dropped once its masks are taken
+            papers = in_window.pop(0)
+            masks = running if cumulative else {}
+            for record in added.pop(0):
+                mask = bits.mask(record.pacs)
+                for author in record.authors:
+                    masks[author] = masks.get(author, 0) | mask
+            if cumulative:
+                # the running masks of the window's own authors
+                masks = {author: running[author] for record in papers for author in record.authors}
+            yield window, papers, masks
 
 
 _REQUIRED_FIELDS = ("doi", "title", "authors", "date", "pacs", "refs")
@@ -591,15 +588,14 @@ def _distributions(
     and of each in-period paper's own codes; empty sets count only with
     ``include_zero_pacs``.
     """
-    papers = [record.pacs for record in corpus.papers_in(period)]
+    bits = _CodeBits()
+    ((_, papers, authors),) = corpus._author_masks([period], cumulative=False, bits=bits)
     if not papers:
         raise EmptyPeriod(f"no papers in {period.label}")
-    bits = _CodeBits()
-    ((_, authors),) = corpus._author_masks([period], cumulative=False, bits=bits)
     # each paper's mask is built as it is measured, so no more than one is alive
     return tuple(
         _histogram(measure(mask) for mask in masks if mask or include_zero_pacs)
-        for masks in (authors.values(), map(bits.mask, papers))
+        for masks in (authors.values(), (bits.mask(record.pacs) for record in papers))
     )
 
 
@@ -654,11 +650,11 @@ def corpus_summary(corpus: Corpus, period: YearRange) -> dict[str, int | float]:
     EmptyPeriod
         If no paper falls inside the period.
     """
-    in_period = list(corpus.papers_in(period))
+    bits = _CodeBits()
+    ((_, in_period, masks),) = corpus._author_masks([period], cumulative=False, bits=bits)
     if not in_period:
         raise EmptyPeriod(f"no papers in {period.label}")
 
-    bits = _CodeBits()
     total_authors_listed = 0
     total_codes = 0
     total_paper_div = 0
@@ -671,7 +667,6 @@ def corpus_summary(corpus: Corpus, period: YearRange) -> dict[str, int | float]:
             if age >= 0:
                 total_citations += 1
 
-    ((_, masks),) = corpus._author_masks([period], cumulative=False, bits=bits)
     n_authors = len(masks)
     total_author_codes = sum(map(_code_count, masks.values()))
     total_author_div = sum(map(_diversity, masks.values()))

@@ -6,10 +6,10 @@ Generates every corpus once, into one directory both sides read: the
 golden fixture (run once plain and once with the golden arguments), the
 seed-1 ``ingest``, ``authors`` and ``citations`` corpora of
 ``perfbench/gen.py``, ``messy_corpus`` seeds 1-3 at 300 records and a
-corpus of blank lines only. Each corpus runs under 8 flag sets x 11
-commands (792 matrix runs). The golden fixture also runs each flag set
-as a ``--config`` file instead of flags (88 runs), and ``groups`` once
-with each of 8 bad config files (96 config-file runs in all).
+corpus of blank lines only. Each corpus runs under 10 flag sets x 11
+commands (990 matrix runs). The golden fixture also runs each flag set
+as a ``--config`` file instead of flags (110 runs), and ``groups`` once
+with each of 8 bad config files (118 config-file runs in all).
 ``--help``, ``--version`` and the 11 command ``--help`` outputs run
 once. Each side runs all of it in its own interpreter, with
 ``PYTHONHASHSEED=0``, umask 022 and the same output path, and records
@@ -48,6 +48,9 @@ FLAG_SETS = [
     ["--lenient", "--cohorts", "1800-1801,1990-1997"],
     ["--lenient", "--windows", "1990-94,1994-98,1998-02", "--groups", "0-2,3-6,7+", "--bands", "0-1,2-4,5+"],
     ["--lenient", "--horizon", "3"],
+    # windows out of end order, overlapping, two sharing an end
+    ["--lenient", "--windows", "1995-00,1985-00,1990-95,1992-97"],
+    ["--lenient", "--windows", "1995-00,1985-00,1990-95,1992-97", "--author-mode", "cumulative"],
 ]
 # config files rejected with exit 2, one bad key or value each
 BAD_CONFIGS = [

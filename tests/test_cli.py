@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -831,24 +832,42 @@ def test_author_mode_flag(fixture_path, tmp_path, capsys):
     assert rows[2] == "1995-2000,0.200000,0.400000,0.400000,0.000000"
 
 
-def test_cumulative_flows_scan_each_window_once(fixture_path, tmp_path, monkeypatch, capsys):
-    # cumulative unions add one pass over earlier papers, not a second
-    # scan of each window
-    calls = []
-    papers_in = cli.Corpus.papers_in
+class _CountingPapers(dict):
+    """A corpus's papers, counting each pass made over them."""
 
-    def counting_papers_in(corpus, period):
-        calls.append(period)
-        return papers_in(corpus, period)
+    passes = 0
 
-    monkeypatch.setattr(cli.Corpus, "papers_in", counting_papers_in)
-    counts = {}
-    for mode in ("windowed", "cumulative"):
-        calls.clear()
-        argv = ["flows", "--input", str(fixture_path), "--out-dir", str(tmp_path), "--author-mode", mode]
-        assert main(argv) == 0
-        counts[mode] = len(calls)
-    assert counts["cumulative"] <= counts["windowed"] == 5
+    def values(self):
+        self.passes += 1
+        return super().values()
+
+
+@pytest.mark.parametrize("mode", ["windowed", "cumulative"])
+@pytest.mark.parametrize("command", ["summary", "pacs-counts", "diversity-dist", "groups", "flows"])
+def test_author_tables_pass_over_the_papers_once(command, mode, fixture_path, tmp_path, monkeypatch, capsys):
+    # one pass files the papers of every window (five by default) or of
+    # the period, in both author modes; the corpus facts make their own
+    corpora, facts_passes = [], []
+    load_corpus, corpus_facts = cli.load_corpus, cli._corpus_facts
+
+    def counting_load(*args):
+        corpus = load_corpus(*args)
+        corpora.append(replace(corpus, papers=_CountingPapers(corpus.papers)))
+        return corpora[-1]
+
+    def counted_facts(corpus):
+        before = corpus.papers.passes
+        facts = corpus_facts(corpus)
+        facts_passes.append(corpus.papers.passes - before)
+        return facts
+
+    monkeypatch.setattr(cli, "load_corpus", counting_load)
+    monkeypatch.setattr(cli, "_corpus_facts", counted_facts)
+    argv = [command, "--input", str(fixture_path), "--out-dir", str(tmp_path), "--author-mode", mode]
+    assert main(argv) == 0
+    (corpus,), (facts,) = corpora, facts_passes
+    table_passes = corpus.papers.passes - facts
+    assert table_passes == 1
 
 
 def test_outputs_get_the_mode_open_would_give(fixture_path, tmp_path, capsys):
