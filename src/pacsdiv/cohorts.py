@@ -13,10 +13,11 @@ default of its own. Group membership rests on WINDOWED author diversity
 is set, which takes codes from the start of the corpus through the
 window's end. Both come from the author index behind
 ``Corpus.author_unions`` as code-set masks, measured by the kernel's
-private mask step; in both modes one pass over the corpus files every
-window's papers, and cumulatively each window adds the papers published
+private mask step; cumulatively each window adds the papers published
 since the previous window's end to one running mask per author.
 Cumulative unions only grow, so they can never flow toward lower groups.
+Every table takes its papers from the one filing step of ``corpus``;
+``diversity_share_table`` files all its cohorts in one pass.
 
 Papers without any PACS code are excluded from diversity-keyed tables
 unless ``include_zero_pacs`` is set, which admits them as diversity 0.
@@ -293,20 +294,22 @@ class SeriesEntry:
     cumulative_mean: tuple[float, ...]
 
 
-def _series_entry(corpus: Corpus, records: Sequence[PaperRecord], horizon: int) -> SeriesEntry:
-    """The citation trajectory of ``records`` over ages 0..horizon."""
+def _series_entry(corpus: Corpus, records: Sequence[PaperRecord], horizon: int) -> tuple[SeriesEntry, list[int]]:
+    """The citation trajectory of ``records`` over ages 0..horizon, and each record's citations in it."""
     counts = [0] * (horizon + 1)
-    for record in records:
+    per_record = [0] * len(records)
+    for i, record in enumerate(records):
         for age in corpus.citations_in.get(record.doi, ()):
             if 0 <= age <= horizon:
                 counts[age] += 1
+                per_record[i] += 1
     means = tuple(c / len(records) for c in counts)
     return SeriesEntry(
         paper_count=len(records),
         citations_per_age=tuple(counts),
         mean_per_age=means,
         cumulative_mean=tuple(accumulate(means)),
-    )
+    ), per_record
 
 
 def citations_by_age(corpus: Corpus, period: YearRange, horizon: int) -> SeriesEntry:
@@ -319,19 +322,19 @@ def citations_by_age(corpus: Corpus, period: YearRange, horizon: int) -> SeriesE
     """
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
-    records = list(corpus.papers_in(period))
+    (records,) = corpus._file_by_year([period])
     if not records:
         raise EmptyPeriod(f"no papers in {period.label}")
-    return _series_entry(corpus, records, horizon)
+    return _series_entry(corpus, records, horizon)[0]
 
 
 def _cohort_diversity_keys(
-    corpus: Corpus,
     cohort: YearRange,
+    papers: Sequence[PaperRecord],
     keying: DiversityGroupScheme,
     include_zero_pacs: bool,
 ) -> dict[str, list[PaperRecord]]:
-    """The cohort's keyed papers per key label, keys in the scheme's order.
+    """The keyed ones of a cohort's papers per key label, keys in the scheme's order.
 
     Within a key, papers come by ascending diversity, then in file order.
 
@@ -342,7 +345,7 @@ def _cohort_diversity_keys(
     """
     bits = _CodeBits()
     by_diversity: dict[int, list[PaperRecord]] = {}
-    for record in corpus.papers_in(cohort):
+    for record in papers:
         if record.pacs or include_zero_pacs:
             by_diversity.setdefault(_diversity(bits.mask(record.pacs)), []).append(record)
     if not by_diversity:
@@ -379,9 +382,10 @@ def citations_by_diversity(
     """
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
-    by_key = _cohort_diversity_keys(corpus, cohort, keying, include_zero_pacs)
+    (papers,) = corpus._file_by_year([cohort])
+    by_key = _cohort_diversity_keys(cohort, papers, keying, include_zero_pacs)
     return {
-        label: _series_entry(corpus, records, horizon)
+        label: _series_entry(corpus, records, horizon)[0]
         for label, records in by_key.items()
     }
 
@@ -405,8 +409,8 @@ def diversity_share_table(
         diversity-keyed table).
     """
     table: dict[str, dict[str, float]] = {}
-    for cohort in cohorts:
-        by_key = _cohort_diversity_keys(corpus, cohort, SHARE_KEY_SCHEME, include_zero_pacs)
+    for cohort, papers in zip(cohorts, corpus._file_by_year(cohorts)):
+        by_key = _cohort_diversity_keys(cohort, papers, SHARE_KEY_SCHEME, include_zero_pacs)
         total = sum(len(records) for records in by_key.values())
         table[cohort.label] = {
             label: 100.0 * len(by_key.get(label, ())) / total
@@ -438,18 +442,11 @@ def citation_distribution_by_diversity(
     """
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
-    by_key = _cohort_diversity_keys(corpus, cohort, CITATION_KEY_SCHEME, include_zero_pacs)
+    (papers,) = corpus._file_by_year([cohort])
+    by_key = _cohort_diversity_keys(cohort, papers, CITATION_KEY_SCHEME, include_zero_pacs)
 
     result: dict[str, dict[int, float]] = {}
     for label, records in by_key.items():
-        per_paper: list[int] = []
-        for record in records:
-            c = 0
-            for age in corpus.citations_in.get(record.doi, ()):
-                if 0 <= age <= horizon:
-                    c += 1
-            per_paper.append(c)
-        counts = Counter(per_paper)
-        total = len(per_paper)
-        result[label] = {c: counts[c] / total for c in range(max(counts) + 1)}
+        counts = Counter(_series_entry(corpus, records, horizon)[1])
+        result[label] = {c: counts[c] / len(records) for c in range(max(counts) + 1)}
     return result

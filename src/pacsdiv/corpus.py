@@ -35,10 +35,10 @@ from the corpus start through its end, and every count and diversity is
 a popcount of one. ``Corpus._author_masks`` is the one per-author index
 of the package, for every table in both modes and for
 ``Corpus.author_unions``, which decodes each author's mask into a set.
-In both modes one pass over the corpus files every window's papers, and
-the period tables take their papers from that pass too. The index holds
-one int per author, built with one code-to-bit table and dropped after
-it; nothing is stored on the corpus.
+The index holds one int per author, built with one code-to-bit table
+and dropped after it; nothing is stored on the corpus. Every table takes
+its papers from ``Corpus._file_by_year``, one pass for all the windows,
+periods or cohorts it is given and the one test of a year against a range.
 """
 
 from __future__ import annotations
@@ -159,11 +159,6 @@ class Corpus:
             raise EmptyPeriod("corpus has no papers")
         return YearRange(min(years), max(years) + 1)
 
-    def papers_in(self, period: YearRange) -> Iterator[PaperRecord]:
-        for record in self.papers.values():
-            if record.pub_year in period:
-                yield record
-
     def author_unions(
         self, period: YearRange, *, cumulative: bool
     ) -> Iterator[tuple[str, set[PacsCode]]]:
@@ -186,38 +181,46 @@ class Corpus:
         for author, mask in masks.items():
             yield author, codes(mask)
 
-    def _author_masks(
-        self, windows: Sequence[YearRange], *, cumulative: bool, bits: _CodeBits
-    ) -> Iterator[tuple[YearRange, list[PaperRecord], dict[str, int]]]:
-        """Each window with its papers and its authors' code masks from ``bits``.
+    def _file_by_year(self, ranges: Sequence[YearRange], *, cumulative: bool = False) -> list[list[PaperRecord]]:
+        """Each range's papers in file order, ranges in the given order, from one pass.
 
-        Windows come by ascending end, those with equal ends in the given
-        order. A window's papers come in file order, its authors in order
-        of first appearance on them. In both modes one pass over the
-        corpus files every window's papers. Windowed, an author's mask is
-        the OR of their papers' masks in the window. With ``cumulative``
-        it holds the codes of every paper of theirs published before the
-        window's end: the pass also files each paper under the first
-        window ending after its year, each window ORs those papers into a
-        running mask per author, and takes its authors' masks from it.
+        Each distinct year is tested once against every range. With
+        ``cumulative`` one more list per range follows, filing each paper
+        also under the first range ending after its year: for ranges by
+        ascending end, those published since the previous range's end.
         """
-        in_end_order = sorted(windows, key=attrgetter("end"))
-        in_window: list[list[PaperRecord]] = [[] for _ in in_end_order]
-        # the papers each window ORs in: its own, or cumulatively those
-        # published from the previous window's end up to its own
-        added = [[] for _ in in_end_order] if cumulative else list(in_window)
+        filed: list[list[PaperRecord]] = [[] for _ in range(len(ranges) * (2 if cumulative else 1))]
         # per year, the lists that file its papers
         holders: dict[int, list[list[PaperRecord]]] = {}
         for record in self.papers.values():
             lists = holders.get(record.pub_year)
             if lists is None:
                 year = record.pub_year
-                lists = holders[year] = [papers for window, papers in zip(in_end_order, in_window) if year in window]
+                lists = holders[year] = [papers for period, papers in zip(ranges, filed) if year in period]
                 if cumulative:
-                    lists += [papers for window, papers in zip(in_end_order, added) if year < window.end][:1]
+                    lists += [papers for period, papers in zip(ranges, filed[len(ranges):]) if year < period.end][:1]
             for papers in lists:
                 papers.append(record)
-        del holders
+        return filed
+
+    def _author_masks(
+        self, windows: Sequence[YearRange], *, cumulative: bool, bits: _CodeBits
+    ) -> Iterator[tuple[YearRange, list[PaperRecord], dict[str, int]]]:
+        """Each window with its papers and its authors' code masks from ``bits``.
+
+        Windows come by ascending end, those with equal ends in the given
+        order, each with its papers from ``_file_by_year`` and its authors
+        in order of first appearance on them. An author's mask is the OR of
+        their papers' masks in the window or, with ``cumulative``, of every
+        paper of theirs published before the window's end, kept as one
+        running mask per author.
+        """
+        in_end_order = sorted(windows, key=attrgetter("end"))
+        in_window = self._file_by_year(in_end_order, cumulative=cumulative)
+        # the papers each window ORs in: its own, or cumulatively those
+        # published from the previous window's end up to its own
+        added = in_window[len(windows):] if cumulative else list(in_window)
+        del in_window[len(windows):]
         running: dict[str, int] = {}
         for window in in_end_order:
             # each window's lists are dropped once its masks are taken

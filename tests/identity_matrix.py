@@ -6,10 +6,10 @@ Generates every corpus once, into one directory both sides read: the
 golden fixture (run once plain and once with the golden arguments), the
 seed-1 ``ingest``, ``authors`` and ``citations`` corpora of
 ``perfbench/gen.py``, ``messy_corpus`` seeds 1-3 at 300 records and a
-corpus of blank lines only. Each corpus runs under 10 flag sets x 11
-commands (990 matrix runs). The golden fixture also runs each flag set
-as a ``--config`` file instead of flags (110 runs), and ``groups`` once
-with each of 8 bad config files (118 config-file runs in all).
+corpus of blank lines only. Each corpus runs under 11 flag sets x 11
+commands (1,089 matrix runs). The golden fixture also runs each flag set
+as a ``--config`` file instead of flags (121 runs), and ``groups`` once
+with each of 8 bad config files (129 config-file runs in all).
 ``--help``, ``--version`` and the 11 command ``--help`` outputs run
 once. Each side runs all of it in its own interpreter, with
 ``PYTHONHASHSEED=0``, umask 022 and the same output path, and records
@@ -46,6 +46,8 @@ FLAG_SETS = [
     ["--lenient", "--include-zero-pacs", "--author-mode", "cumulative"],
     ["--lenient", "--period", "1800-1801"],
     ["--lenient", "--cohorts", "1800-1801,1990-1997"],
+    # cohorts out of order and overlapping, filed in one pass
+    ["--lenient", "--cohorts", "1994-2003,1985-1994,1990-1997"],
     ["--lenient", "--windows", "1990-94,1994-98,1998-02", "--groups", "0-2,3-6,7+", "--bands", "0-1,2-4,5+"],
     ["--lenient", "--horizon", "3"],
     # windows out of end order, overlapping, two sharing an end

@@ -151,9 +151,10 @@ def test_criterion_golden_fixture(fixture_path, tmp_path):
 def _window_group_counts(corpus, window, scheme):
     # independent recount: scan, union, classify; no cohorts-module calls
     unions = {}
-    for record in corpus.papers_in(window):
-        for author in record.authors:
-            unions.setdefault(author, set()).update(record.pacs)
+    for record in corpus.papers.values():
+        if record.pub_year in window:
+            for author in record.authors:
+                unions.setdefault(author, set()).update(record.pacs)
     counts = {label: 0 for label in scheme.labels}
     for union in unions.values():
         if union:
@@ -206,7 +207,7 @@ def test_criterion_conservation(fixture_corpus, tmp_path):
 def _cumulative_group_counts(corpus, window, scheme):
     # independent recount: an author on a window paper is grouped by the
     # codes of all their papers published before the window ends
-    active = {author for record in corpus.papers_in(window) for author in record.authors}
+    active = {author for record in corpus.papers.values() if record.pub_year in window for author in record.authors}
     unions = {author: set() for author in active}
     for record in corpus.papers.values():
         if record.pub_year < window.end:

@@ -575,9 +575,16 @@ def test_year_span(fixture_corpus):
     assert fixture_corpus.year_span() == YearRange(1990, 2004)
 
 
-def test_papers_in_half_open(fixture_corpus):
-    dois = [r.doi for r in fixture_corpus.papers_in(YearRange(1996, 1998))]
-    assert dois == ["10.1103/P06", "10.1103/P07", "10.1103/P08"]
+def test_papers_in_half_open(fixture_corpus, corpus_file):
+    (papers,) = fixture_corpus._file_by_year([YearRange(1996, 1998)])
+    assert [r.doi for r in papers] == ["10.1103/P06", "10.1103/P07", "10.1103/P08"]
+    # ranges out of order and overlapping, filed in one call, on papers
+    # out of year order: file order within a range, the caller's across
+    years = {"a": 1993, "b": 1990, "c": 1995, "d": 1991, "e": 1994, "f": 1992}
+    corpus = load_corpus(corpus_file([paper(doi, year, ["x"], []) for doi, year in years.items()]))
+    ranges = [YearRange(1993, 1996), YearRange(1990, 1992), YearRange(1991, 1994)]
+    filed = [[r.doi for r in papers] for papers in corpus._file_by_year(ranges)]
+    assert filed == [["a", "c", "e"], ["b", "d"], ["a", "d", "f"]]
 
 
 def test_pacs_coverage_by_year(fixture_corpus):

@@ -2,9 +2,10 @@
 package exports no test-only code and declares each export once, in its
 module's ``__all__``, every private name it defines is used, every
 public name but the two library routes and every dataclass field has a
-reader in the package, only the kernel module counts bits, every
-config field has a setter and the benchmark's checks read only names the
-test reference defines."""
+reader in the package, only the kernel module counts bits, only one
+function tests a publication year against a range, every config field
+has a setter and the benchmark's checks read only names the test
+reference defines."""
 
 import ast
 import dataclasses
@@ -222,6 +223,25 @@ def test_only_the_kernel_module_counts_bits():
     ]
     assert counting, "found no bit_count call at all"
     assert set(counting) == {"diversity.py"}
+
+
+def _names_a_year(node):
+    name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+    return name.endswith("year")
+
+
+def test_one_function_files_papers_by_year():
+    # a second function testing a year against a range would be a second
+    # way to pick a range's papers, beside the one filing step
+    filing = {
+        (module, function.name)
+        for module, tree in _package_trees().items()
+        for function in ast.walk(tree)
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(function)
+        if isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.In) and _names_a_year(node.left)
+    }
+    assert [module for module, _ in filing] == ["corpus.py"]
 
 
 def _is_dataclass(node):
