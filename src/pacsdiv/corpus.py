@@ -11,14 +11,15 @@ interpreter's own int/str limit. A loaded corpus is immutable: every
 analysis in the package is a pure read over it, and loading the same file
 twice yields identical contents.
 
-Loading is one read of the file plus one pass over the accepted records
-to build the citation index, whose lists become tuples in place. Each
-distinct raw DOI, author, date, PACS and reference string is checked and
-converted once per load, so equal values share one object in the corpus:
-every spelling of one code maps to one ``PacsCode``, and every record
-with the same codes holds one tuple of them in ascending order. A record
-is an immutable tuple of only what a table reads: its DOI, authors,
-publication year and codes.
+Loading is one read of the file plus one pass over the accepted records'
+refs, one flat list, to build the citation index, whose lists become
+tuples in place. Each distinct raw DOI, date, PACS and reference string
+is checked and converted once per load, and each distinct normalised
+author name is stored once, a spelling not yet normalised being normalised
+at each occurrence. So equal values share one object in the corpus: every
+spelling of one code maps to one ``PacsCode``, and every record with the
+same codes holds one tuple of them in ascending order. A record is an
+immutable tuple of only what a table reads: DOI, authors, year and codes.
 
 Citations are derived strictly in-corpus: a reference counts only when
 the target DOI is that of an accepted paper. References to anything else
@@ -49,6 +50,7 @@ import re
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from datetime import date
+from itertools import islice
 from json.scanner import make_scanner
 from operator import attrgetter, itemgetter
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
@@ -293,10 +295,9 @@ def _loads(line: str, lineno: int) -> object:
 class _Memo(dict):
     """Per-load memo table: raw string -> ``convert(raw)``, once per string.
 
-    Only strings are ever converted: looking up anything else raises
-    TypeError (an unhashable value already in the lookup itself), so a
-    lookup doubles as the item type check. A conversion that raises
-    stores nothing.
+    Looking up a non-string raises TypeError (an unhashable one in the
+    lookup itself), so a lookup doubles as the item type check. A
+    conversion that raises stores nothing.
     """
 
     __slots__ = ("convert",)
@@ -310,6 +311,16 @@ class _Memo(dict):
             raise TypeError(raw)
         value = self[raw] = self.convert(raw)
         return value
+
+
+class _Names(dict):
+    """Per-load table of normalised names, each its own key; other spellings are normalised per lookup."""
+
+    def __missing__(self, raw):
+        if not isinstance(raw, str):
+            raise TypeError(raw)  # the item type check, as in ``_Memo``
+        name = normalize_author(raw)
+        return self.setdefault(name, name)
 
 
 def _code_or_none(raw: str, seen: dict[PacsCode, PacsCode]) -> PacsCode | None:
@@ -328,11 +339,8 @@ def _year_of(raw_date: str) -> int:
     return date.fromisoformat(raw_date).year
 
 
-def _lookup_all(memo: _Memo, items: object) -> tuple | None:
-    """``tuple(memo[item] for item in items)`` for a list of strings.
-
-    Returns None when ``items`` is not a list or holds a non-string.
-    """
+def _lookup_all(memo: dict, items: object) -> tuple | None:
+    """``tuple(memo[item] for item in items)`` for a list of strings, else None."""
     if not isinstance(items, list):
         return None
     try:
@@ -347,10 +355,11 @@ class _Caches:
     __slots__ = ("strings", "authors", "codes", "years", "code_sets")
 
     def __init__(self):
-        # strings maps a string to the first equal one seen, so equal
-        # DOIs, refs and author names share one object across the corpus
-        strings = self.strings = _Memo(str)
-        self.authors = _Memo(lambda raw: strings[normalize_author(raw)])
+        # strings maps a string to the first equal one seen, so equal DOIs
+        # and refs share one object across the corpus; authors holds each
+        # normalised name once, and no other spelling of it
+        self.strings = _Memo(str)
+        self.authors = _Names()
         # every spelling of one code ("04.25.dg", "04.25") maps to one object
         distinct_codes: dict[PacsCode, PacsCode] = {}
         self.codes = _Memo(lambda raw: _code_or_none(raw, distinct_codes))
@@ -445,8 +454,7 @@ def load_corpus(path, config: IngestConfig | None = None, digest=None) -> Corpus
     gc.disable()
     try:
         with handle:
-            papers, refs, rejected, counters = _read_records(handle, path, cfg, digest)
-            return _build_corpus(papers, refs, rejected, counters, handle.tell())
+            return _build_corpus(*_read_records(handle, path, cfg, digest), handle.tell())
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -454,9 +462,10 @@ def load_corpus(path, config: IngestConfig | None = None, digest=None) -> Corpus
 
 def _read_records(
     handle, path, cfg: IngestConfig, digest
-) -> tuple[dict[str, PaperRecord], list[tuple[str, ...]], list[tuple[int, str]], dict[str, int]]:
+) -> tuple[dict[str, PaperRecord], list[str], list[int], list[tuple[int, str]], dict[str, int]]:
     papers: dict[str, PaperRecord] = {}
-    refs: list[tuple[str, ...]] = []
+    targets: list[str] = []  # every accepted record's refs in file order
+    ref_counts: list[int] = []  # and how many each record has
     rejected: list[tuple[int, str]] = []
     counters = {"malformed": 0, "duplicate_authors": 0}
     caches = _Caches()
@@ -488,7 +497,7 @@ def _read_records(
                     # common line, never pays for counting brackets
                     _check_depth(line, lineno)
                 try:
-                    record, targets = _parse_record(obj, lineno, caches, counters)
+                    record, refs = _parse_record(obj, lineno, caches, counters)
                 except FormatError:
                     # too deep outranks every other reason, as when decoding fails
                     _check_depth(line, lineno)
@@ -501,34 +510,33 @@ def _read_records(
             if record.doi in papers:
                 raise DuplicateDoi(f"line {lineno}: duplicate doi {record.doi!r}")
             papers[record.doi] = record
-            refs.append(targets)
+            targets += refs
+            ref_counts.append(len(refs))
     except OSError as exc:
         raise IoFailure(f"error reading {path}: {exc}") from exc
-    return papers, refs, rejected, counters
+    return papers, targets, ref_counts, rejected, counters
 
 
 def _build_corpus(
     papers: dict[str, PaperRecord],
-    refs: list[tuple[str, ...]],
+    targets: list[str],
+    ref_counts: list[int],
     rejected: list[tuple[int, str]],
     counters: dict[str, int],
     size: int,
 ) -> Corpus:
-    # each list becomes its tuple in place, so no second dict is built
-    # while every list is still alive
     citations: dict[str, Any] = {}
     dangling = 0
     negative_age = 0
-    for record, targets in zip(papers.values(), refs):
-        if not targets:
-            continue
-        year = record.pub_year
-        for target in targets:
-            cited = papers.get(target)
-            if cited is None:
+    # each citing paper takes its count of refs off the one flat list
+    cited = iter(targets)
+    for record, count in zip(papers.values(), ref_counts):
+        for target in islice(cited, count):
+            paper = papers.get(target)
+            if paper is None:
                 dangling += 1
                 continue
-            age = year - cited.pub_year
+            age = record.pub_year - paper.pub_year
             ages = citations.get(target)
             if ages is None:
                 citations[target] = [age]
@@ -536,6 +544,8 @@ def _build_corpus(
                 ages.append(age)
             if age < 0:
                 negative_age += 1
+    # the refs die first, then each list becomes its tuple in place: no second dict
+    del targets[:], ref_counts[:]
     for doi, ages in citations.items():
         citations[doi] = tuple(ages)
 

@@ -1,4 +1,5 @@
-"""Shared test utilities: independent oracles and corpus generators.
+"""Shared test utilities: independent oracles, corpus generators and one
+harness that counts the passes a command makes over the papers.
 
 Everything here recomputes results through a different route than the
 library (explicit tree nodes instead of prefix arithmetic, pairwise
@@ -23,6 +24,7 @@ import json
 import random
 import re
 from bisect import bisect_right
+from dataclasses import replace
 from itertools import accumulate, permutations
 from typing import Iterable
 
@@ -596,6 +598,52 @@ def raw_tables(path, settings):
         command: (code, None if rows is None else headers[command], rows)
         for command, (code, rows) in tables.items()
     }
+
+
+class _CountingPapers(dict):
+    """A corpus's papers, counting each pass made over them."""
+
+    passes = 0
+
+    def values(self):
+        self.passes += 1
+        return super().values()
+
+
+def count_table_passes(monkeypatch):
+    """Count the passes ``cli.main`` makes over a loaded corpus's papers.
+
+    Patches ``cli.load_corpus`` to hand out a corpus whose papers count
+    each ``.values()`` call, and ``cli._corpus_facts`` to note the passes
+    it makes itself. Returns a function that, after one run, gives the
+    passes the run made beyond those of the corpus facts.
+    """
+    # imported here, so perfbench/checks.py, which loads this module,
+    # never imports the command line
+    from pacsdiv import cli
+
+    corpora, facts_passes = [], []
+    load_corpus, corpus_facts = cli.load_corpus, cli._corpus_facts
+
+    def counting_load(*args):
+        corpus = load_corpus(*args)
+        corpora.append(replace(corpus, papers=_CountingPapers(corpus.papers)))
+        return corpora[-1]
+
+    def counted_facts(corpus):
+        before = corpus.papers.passes
+        facts = corpus_facts(corpus)
+        facts_passes.append(corpus.papers.passes - before)
+        return facts
+
+    monkeypatch.setattr(cli, "load_corpus", counting_load)
+    monkeypatch.setattr(cli, "_corpus_facts", counted_facts)
+
+    def passes_beyond_facts():
+        (corpus,), (facts,) = corpora, facts_passes
+        return corpus.papers.passes - facts
+
+    return passes_beyond_facts
 
 
 _NAMES = ("alice adams", "bob brown", "carol chen", "david müller", "erin evans", "frank fox")

@@ -12,7 +12,6 @@ import shutil
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 from pacsdiv import cli
 from pacsdiv.cli import _CONFIG_TYPES, DEFAULTS, main
 from conftest import ALL_COMMANDS, GOLDEN_ARGS, GOLDEN_DIR, paper, write_jsonl
-from helpers import _raw_diversity, messy_corpus, raw_ingest_recount, raw_tables
+from helpers import _raw_diversity, count_table_passes, messy_corpus, raw_ingest_recount, raw_tables
 
 
 def run_cli(command, fixture_path, out_dir, *extra):
@@ -832,41 +831,15 @@ def test_author_mode_flag(fixture_path, tmp_path, capsys):
     assert rows[2] == "1995-2000,0.200000,0.400000,0.400000,0.000000"
 
 
-class _CountingPapers(dict):
-    """A corpus's papers, counting each pass made over them."""
-
-    passes = 0
-
-    def values(self):
-        self.passes += 1
-        return super().values()
-
-
 @pytest.mark.parametrize("mode", ["windowed", "cumulative"])
 @pytest.mark.parametrize("command", ["summary", "pacs-counts", "diversity-dist", "groups", "flows"])
 def test_author_tables_pass_over_the_papers_once(command, mode, fixture_path, tmp_path, monkeypatch, capsys):
     # one pass files the papers of every window (five by default) or of
     # the period, in both author modes; the corpus facts make their own
-    corpora, facts_passes = [], []
-    load_corpus, corpus_facts = cli.load_corpus, cli._corpus_facts
-
-    def counting_load(*args):
-        corpus = load_corpus(*args)
-        corpora.append(replace(corpus, papers=_CountingPapers(corpus.papers)))
-        return corpora[-1]
-
-    def counted_facts(corpus):
-        before = corpus.papers.passes
-        facts = corpus_facts(corpus)
-        facts_passes.append(corpus.papers.passes - before)
-        return facts
-
-    monkeypatch.setattr(cli, "load_corpus", counting_load)
-    monkeypatch.setattr(cli, "_corpus_facts", counted_facts)
+    passes_beyond_facts = count_table_passes(monkeypatch)
     argv = [command, "--input", str(fixture_path), "--out-dir", str(tmp_path), "--author-mode", mode]
     assert main(argv) == 0
-    (corpus,), (facts,) = corpora, facts_passes
-    table_passes = corpus.papers.passes - facts
+    table_passes = passes_beyond_facts()
     assert table_passes == 1
 
 
@@ -880,26 +853,10 @@ def test_cohort_tables_pass_over_the_papers_once(command, cohorts, fixture_path,
     # build_diversity_citations, left for ROADMAP item 2's per-cohort keys
     n = len(cohorts.split(","))
     expected = {"citation-age": 1, "share": 1, "citation-dist": n, "diversity-citations": 2 * n}[command]
-    corpora, facts_passes = [], []
-    load_corpus, corpus_facts = cli.load_corpus, cli._corpus_facts
-
-    def counting_load(*args):
-        corpus = load_corpus(*args)
-        corpora.append(replace(corpus, papers=_CountingPapers(corpus.papers)))
-        return corpora[-1]
-
-    def counted_facts(corpus):
-        before = corpus.papers.passes
-        facts = corpus_facts(corpus)
-        facts_passes.append(corpus.papers.passes - before)
-        return facts
-
-    monkeypatch.setattr(cli, "load_corpus", counting_load)
-    monkeypatch.setattr(cli, "_corpus_facts", counted_facts)
+    passes_beyond_facts = count_table_passes(monkeypatch)
     argv = [command, "--input", str(fixture_path), "--out-dir", str(tmp_path), "--cohorts", cohorts]
     assert main(argv) == 0
-    (corpus,), (facts,) = corpora, facts_passes
-    assert corpus.papers.passes - facts == expected
+    assert passes_beyond_facts() == expected
 
 
 def test_outputs_get_the_mode_open_would_give(fixture_path, tmp_path, capsys):

@@ -2,9 +2,14 @@ import gc
 import hashlib
 import json
 import sys
+import tempfile
+import tracemalloc
 from collections import Counter
+from json.scanner import py_make_scanner
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pacsdiv import corpus as corpus_module
 from pacsdiv import (
@@ -334,6 +339,40 @@ def test_decode_matches_json_loads(seed, tmp_path, monkeypatch):
     assert kinds["rejected"] and kinds["blank"] and kinds["decoded"]
 
 
+def _assert_scanners_load_the_same(path):
+    """A lenient load of ``path`` gives the same corpus with the pure-Python
+    JSON scanner, as interpreters without ``_json`` use, as with the default."""
+    made = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(corpus_module, "make_scanner", lambda context: made.append(context) or py_make_scanner(context))
+        python_scanned = load_corpus(path, IngestConfig(strict=False))
+    assert made, "the load did not build its scanner with make_scanner"
+    default = load_corpus(path, IngestConfig(strict=False))
+    assert list(python_scanned.papers.items()) == list(default.papers.items())
+    assert list(python_scanned.citations_in.items()) == list(default.citations_in.items())
+    assert python_scanned.ingest_stats == default.ingest_stats
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, None], ids=["messy-1", "messy-2", "messy-3", "crafted"])
+def test_pure_python_scanner_loads_the_same(seed, tmp_path):
+    # the inputs of test_decode_matches_json_loads
+    path = tmp_path / "lines.jsonl"
+    if seed is None:
+        lines = [line.replace('"a"', f'"d{i}"') for i, line in enumerate(_CRAFTED_LINES)]
+        path.write_bytes("\n".join(lines).encode() + b"\n")
+    else:
+        messy_corpus(path, 300, seed)
+    _assert_scanners_load_the_same(path)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_records=st.integers(1, 300))
+def test_pure_python_scanner_loads_a_drawn_corpus_the_same(seed, n_records):
+    # Hypothesis rejects tmp_path, a function-scoped fixture
+    with tempfile.TemporaryDirectory() as tmp:
+        _assert_scanners_load_the_same(messy_corpus(Path(tmp) / "messy.jsonl", n_records, seed))
+
+
 def test_crlf_line_endings(corpus_file, tmp_path):
     lf = corpus_file(
         [paper("a", 1990, ["Alice Adams"], ["04.25.dg"]), paper("b", 1991, ["alice adams"], [], refs=["a"])]
@@ -448,6 +487,51 @@ def test_equal_author_names_share_one_string(corpus_file):
         corpus_file([paper("a", 1990, ["Alice Adams"], []), paper("b", 1991, ["alice  ADAMS"], [])])
     )
     assert corpus.papers["a"].authors[0] is corpus.papers["b"].authors[0]
+
+
+_GIVEN_NAMES = ("alice", "bruno", "chiara", "dmitri", "elena", "farid", "greta", "hiroshi", "ingrid", "jonas")
+_FAMILY_NAMES = ("adams", "becker", "castro", "dubois", "eriksen")
+
+
+def _spelling(name, k):
+    """The ``k``-th spelling of a normalised ``name``: its letters cased by
+    the bits of ``k``, its words joined by one to three spaces."""
+    letters = [char.upper() if k >> bit & 1 else char for bit, char in enumerate(name.replace(" ", ""))]
+    given = len(name.split()[0])
+    return "".join(letters[:given]) + " " * (1 + k % 3) + "".join(letters[given:])
+
+
+def _load_peak(path):
+    """The tracemalloc peak of one strict load of ``path``, in bytes."""
+    tracemalloc.start()
+    try:
+        load_corpus(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_author_spellings_are_not_kept_by_the_load(corpus_file):
+    # two corpora that differ only in how their 10,000 author occurrences,
+    # five per paper, are spelled: as the 50 normalised names, or each
+    # occurrence its own case and whitespace variant of one of them
+    names = [f"{given} {family}" for given in _GIVEN_NAMES for family in _FAMILY_NAMES]
+    normalised = [names[k % len(names)] for k in range(10_000)]
+    variants = [_spelling(name, k // len(names)) for k, name in enumerate(normalised)]
+    assert len(set(variants)) == len(variants)
+    assert list(map(normalize_author, variants)) == normalised
+
+    def corpus(authors, name):
+        records = [paper(f"10.x/{i}", 1990 + i % 10, authors[5 * i : 5 * i + 5], []) for i in range(2000)]
+        return corpus_file(records, name=name)
+
+    plain, variant = corpus(normalised, "plain.jsonl"), corpus(variants, "variant.jsonl")
+    assert load_corpus(plain).papers == load_corpus(variant).papers
+    # a load that keeps every spelling it meets peaks about 827 kB higher
+    # on the variants, 83 bytes an occurrence; one that keeps only the
+    # normalised names peaks at most a few hundred bytes higher. The bound,
+    # a byte an occurrence, lies between the two by a factor of 50 or more
+    assert _load_peak(variant) - _load_peak(plain) < len(variants)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -4,12 +4,14 @@ module's ``__all__``, every private name it defines is used, every
 public name but the two library routes and every dataclass field has a
 reader in the package, only the kernel module counts bits, only one
 function tests a publication year against a range, every config field
-has a setter and the benchmark's checks read only names the test
-reference defines."""
+has a setter, the benchmark's checks read only names the test
+reference defines and every module parses as the oldest Python that
+pyproject.toml claims."""
 
 import ast
 import dataclasses
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -242,6 +244,24 @@ def test_one_function_files_papers_by_year():
         if isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.In) and _names_a_year(node.left)
     }
     assert [module for module, _ in filing] == ["corpus.py"]
+
+
+# the oldest Python that pyproject.toml's requires-python admits, as (major, minor)
+PYTHON_FLOOR = tuple(
+    int(part)
+    for part in re.search(
+        r'requires-python = ">=(\d+)\.(\d+)"', (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    ).groups()
+)
+
+
+@pytest.mark.parametrize("module", sorted(path.name for path in PACKAGE.glob("*.py")))
+def test_module_parses_as_the_oldest_python_claimed(module):
+    # feature_version rejects syntax newer than the floor (except*, type
+    # statements, generic function syntax); whether the package also runs
+    # there takes a run on that Python, which no test here can make
+    assert PYTHON_FLOOR == (3, 10), "the floor moved: update the README's Testing section"
+    ast.parse((PACKAGE / module).read_text(encoding="utf-8"), feature_version=PYTHON_FLOOR)
 
 
 def _is_dataclass(node):
