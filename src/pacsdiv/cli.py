@@ -3,10 +3,12 @@
 Every command loads the corpus, computes one table, and writes it to
 ``<command>.<format>`` plus a ``<command>.meta.json`` sidecar recording
 the resolved configuration, the sha256 and size of the input bytes that
-were loaded and the tool version. Writes are atomic (temp file + rename)
-and give each file the mode a plain ``open`` would (0644 under umask
-022). All orderings are explicitly sorted, so identical input and
-configuration produce byte-identical outputs on every run.
+were loaded and the tool version. Writes are atomic: each file is
+created exclusively by ``open()`` under a random hidden name beside its
+target and renamed into place, so it has the mode a plain ``open()``
+gives (0644 under a file-creation mask of 022, or what a directory's
+default ACL sets). All orderings are explicitly sorted, so identical
+input and configuration produce byte-identical outputs on every run.
 
 Once loaded, the corpus is moved to the collector's frozen generation
 (``gc.freeze``) until the command's files are written: it holds no
@@ -31,7 +33,6 @@ import io
 import json
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -171,18 +172,14 @@ def _json_bytes(value) -> bytes:
 
 
 def _atomic_write(path: Path, payload: bytes) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
+    handle = open(tmp, "xb")  # outside the try: a name it did not create is not removed
     try:
-        with os.fdopen(fd, "wb") as handle:
+        with handle:
             handle.write(payload)
-        # mkstemp makes the file 0600; give it the mode open() would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 

@@ -850,7 +850,7 @@ def test_cohort_tables_pass_over_the_papers_once(command, cohorts, fixture_path,
     # share, beyond the passes the corpus facts make. diversity-citations
     # keys each cohort once per keying, so it files each cohort twice:
     # the per-keying rescans named in CHANGES.md's FOUND on
-    # build_diversity_citations, left for ROADMAP item 2's per-cohort keys
+    # build_diversity_citations, left for ROADMAP item 1's cohort tables
     n = len(cohorts.split(","))
     expected = {"citation-age": 1, "share": 1, "citation-dist": n, "diversity-citations": 2 * n}[command]
     passes_beyond_facts = count_table_passes(monkeypatch)
@@ -859,16 +859,35 @@ def test_cohort_tables_pass_over_the_papers_once(command, cohorts, fixture_path,
     assert passes_beyond_facts() == expected
 
 
-def test_outputs_get_the_mode_open_would_give(fixture_path, tmp_path, capsys):
+def test_outputs_get_the_mode_open_would_give(fixture_path, tmp_path, monkeypatch, capsys):
+    # every file gets open()'s mode, and writing it changes no
+    # process-wide state: main never reads or sets the umask
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text(fixture_path.read_text() + "garbage\n")
-    umask = os.umask(0o022)
-    try:
-        assert main(["validate", "--input", str(corpus), "--out-dir", str(tmp_path / "out")]) == 0
-    finally:
-        os.umask(umask)
-    modes = {p.name: p.stat().st_mode & 0o777 for p in (tmp_path / "out").iterdir()}
-    assert modes == dict.fromkeys(["validate.csv", "validate.meta.json", "validate.dropped.json"], 0o644)
+    set_umask = os.umask
+    umask_calls = []
+    monkeypatch.setattr(os, "umask", lambda mask: umask_calls.append(mask) or set_umask(mask))
+    for umask, mode in [(0o022, 0o644), (0o077, 0o600)]:
+        out_dir = tmp_path / f"out-{umask:03o}"
+        previous = set_umask(umask)
+        try:
+            assert main(["validate", "--input", str(corpus), "--out-dir", str(out_dir)]) == 0
+        finally:
+            set_umask(previous)
+        modes = {p.name: p.stat().st_mode & 0o777 for p in out_dir.iterdir()}
+        assert modes == dict.fromkeys(["validate.csv", "validate.meta.json", "validate.dropped.json"], mode)
+    assert umask_calls == []
+
+
+def test_failed_replace_leaves_no_temporary(fixture_path, tmp_path, monkeypatch, capsys):
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    out_dir = tmp_path / "out"
+    assert main(["summary", "--input", str(fixture_path), "--out-dir", str(out_dir)]) == 3
+    assert capsys.readouterr().err == f"pacsdiv summary: error: cannot write to {out_dir}: replace refused\n"
+    assert list(out_dir.iterdir()) == []
 
 
 @pytest.mark.parametrize("below", ["", "sub"], ids=["is-a-file", "under-a-file"])

@@ -46,6 +46,11 @@ def test_normalize_author():
     assert normalize_author("Alice  ADAMS") == "alice adams"
     assert normalize_author(" bob\tbrown \n") == "bob brown"
     assert normalize_author("alice adams") == "alice adams"
+    # full case folding and any Unicode space, as the interpreter's
+    # Unicode database has them (14.0.0 on Python 3.11)
+    assert normalize_author("Straße") == "strasse"
+    assert normalize_author("ΣΊΣΥΦΟΣ") == "σίσυφοσ"
+    assert normalize_author("José\u00a0Núñez") == "josé núñez"
 
 
 def test_normalize_preserves_diacritics():

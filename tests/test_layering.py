@@ -5,8 +5,9 @@ public name but the two library routes and every dataclass field has a
 reader in the package, only the kernel module counts bits, only one
 function tests a publication year against a range, every config field
 has a setter, the benchmark's checks read only names the test
-reference defines and every module parses as the oldest Python that
-pyproject.toml claims."""
+reference defines, every module parses as the oldest Python that
+pyproject.toml claims and the CI workflow runs the ROADMAP's tier-1
+command on every Python from that one to 3.13."""
 
 import ast
 import dataclasses
@@ -262,6 +263,19 @@ def test_module_parses_as_the_oldest_python_claimed(module):
     # there takes a run on that Python, which no test here can make
     assert PYTHON_FLOOR == (3, 10), "the floor moved: update the README's Testing section"
     ast.parse((PACKAGE / module).read_text(encoding="utf-8"), feature_version=PYTHON_FLOOR)
+
+
+def test_ci_runs_the_tier1_command_on_every_python_claimed():
+    # the workflow runs only once pushed; offline, it must parse and hold
+    # the ROADMAP's tier-1 line as its test step
+    yaml = pytest.importorskip("yaml")
+    root = Path(__file__).parents[1]
+    workflow = yaml.safe_load((root / ".github/workflows/tier1.yml").read_text(encoding="utf-8"))
+    roadmap = (root / "ROADMAP.md").read_text(encoding="utf-8")
+    tier1 = re.search(r"^\*\*Tier-1 verify:\*\* `(.+)`$", roadmap, re.MULTILINE).group(1)
+    (job,) = workflow["jobs"].values()
+    assert job["strategy"]["matrix"]["python-version"] == [f"3.{minor}" for minor in range(PYTHON_FLOOR[1], 14)]
+    assert [step["run"] for step in job["steps"] if "run" in step] == ["pip install pytest hypothesis", tier1]
 
 
 def _is_dataclass(node):
