@@ -296,12 +296,11 @@ def build_citation_dist(corpus: Corpus, cfg: RunConfig) -> Table:
     """citation-count distribution per diversity key"""
     rows: list[tuple] = []
     for cohort in cfg.cohorts:
-        dists = co.citation_distribution_by_diversity(
-            corpus, cohort, cfg.horizon, include_zero_pacs=cfg.include_zero_pacs
+        per_key = co.citations_by_diversity(
+            corpus, cohort, cfg.horizon, co.CITATION_KEY_SCHEME, include_zero_pacs=cfg.include_zero_pacs
         )
-        for key, hist in dists.items():
-            for citations in sorted(hist):
-                rows.append((cohort.label, key, citations, hist[citations]))
+        for key, entry in per_key.items():
+            rows += [(cohort.label, key, c, fraction) for c, fraction in enumerate(entry.citation_distribution)]
     return Table(("cohort", "key", "citations", "fraction"), tuple(rows))
 
 

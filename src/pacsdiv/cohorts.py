@@ -4,8 +4,9 @@ Authors are binned into diversity groups per time window and tracked as
 they move between groups across consecutive windows (entrants and
 leavers included, so every flow matrix satisfies exact row/column
 conservation). Papers are grouped by their diversity and followed for a
-fixed citation horizon, yielding per-age and cumulative citation
-averages plus citation-count distributions.
+fixed citation horizon: each group's ``SeriesEntry`` holds its per-age
+and cumulative citation averages and its citation-count distribution,
+all from one count of its papers' citations.
 
 Every table takes its settings explicitly; the library holds no
 default of its own. Group membership rests on WINDOWED author diversity
@@ -51,7 +52,6 @@ __all__ = [
     "citations_by_age",
     "citations_by_diversity",
     "diversity_share_table",
-    "citation_distribution_by_diversity",
 ]
 
 @dataclass(frozen=True, slots=True)
@@ -286,16 +286,22 @@ def transition_flows(
 
 @dataclass(frozen=True, slots=True)
 class SeriesEntry:
-    """Citation trajectory of one paper group over ages 0..horizon."""
+    """Citation trajectory of one paper group over ages 0..horizon.
+
+    ``citation_distribution[c]`` is the fraction of the group's papers
+    cited exactly c times within those ages, for c from 0 through the
+    group's maximum (interior zeros included), so it sums to 1.
+    """
 
     paper_count: int
     citations_per_age: tuple[int, ...]
     mean_per_age: tuple[float, ...]
     cumulative_mean: tuple[float, ...]
+    citation_distribution: tuple[float, ...]
 
 
-def _series_entry(corpus: Corpus, records: Sequence[PaperRecord], horizon: int) -> tuple[SeriesEntry, list[int]]:
-    """The citation trajectory of ``records`` over ages 0..horizon, and each record's citations in it."""
+def _series_entry(corpus: Corpus, records: Sequence[PaperRecord], horizon: int) -> SeriesEntry:
+    """The citation trajectory of ``records`` over ages 0..horizon."""
     counts = [0] * (horizon + 1)
     per_record = [0] * len(records)
     for i, record in enumerate(records):
@@ -304,12 +310,14 @@ def _series_entry(corpus: Corpus, records: Sequence[PaperRecord], horizon: int) 
                 counts[age] += 1
                 per_record[i] += 1
     means = tuple(c / len(records) for c in counts)
+    cited = Counter(per_record)
     return SeriesEntry(
         paper_count=len(records),
         citations_per_age=tuple(counts),
         mean_per_age=means,
         cumulative_mean=tuple(accumulate(means)),
-    ), per_record
+        citation_distribution=tuple(cited[c] / len(records) for c in range(max(cited) + 1)),
+    )
 
 
 def citations_by_age(corpus: Corpus, period: YearRange, horizon: int) -> SeriesEntry:
@@ -325,7 +333,7 @@ def citations_by_age(corpus: Corpus, period: YearRange, horizon: int) -> SeriesE
     (records,) = corpus._file_by_year([period])
     if not records:
         raise EmptyPeriod(f"no papers in {period.label}")
-    return _series_entry(corpus, records, horizon)[0]
+    return _series_entry(corpus, records, horizon)
 
 
 def _cohort_diversity_keys(
@@ -385,7 +393,7 @@ def citations_by_diversity(
     (papers,) = corpus._file_by_year([cohort])
     by_key = _cohort_diversity_keys(cohort, papers, keying, include_zero_pacs)
     return {
-        label: _series_entry(corpus, records, horizon)[0]
+        label: _series_entry(corpus, records, horizon)
         for label, records in by_key.items()
     }
 
@@ -418,35 +426,3 @@ def diversity_share_table(
         }
     return table
 
-
-def citation_distribution_by_diversity(
-    corpus: Corpus,
-    cohort: YearRange,
-    horizon: int,
-    *,
-    include_zero_pacs: bool,
-) -> dict[str, dict[int, float]]:
-    """Distribution of citation counts per diversity key.
-
-    For each key, the fraction of its papers that received exactly c
-    in-corpus citations within ages 0..horizon, for c from 0 through the
-    key's maximum observed count (interior zeros included). Each
-    histogram sums to 1. ``include_zero_pacs`` admits papers without
-    codes as diversity 0.
-
-    Raises
-    ------
-    EmptyCohort
-        If the cohort holds no keyed papers (the rule of every
-        diversity-keyed table).
-    """
-    if horizon < 1:
-        raise ConfigError(f"horizon must be >= 1, got {horizon}")
-    (papers,) = corpus._file_by_year([cohort])
-    by_key = _cohort_diversity_keys(cohort, papers, CITATION_KEY_SCHEME, include_zero_pacs)
-
-    result: dict[str, dict[int, float]] = {}
-    for label, records in by_key.items():
-        counts = Counter(_series_entry(corpus, records, horizon)[1])
-        result[label] = {c: counts[c] / len(records) for c in range(max(counts) + 1)}
-    return result

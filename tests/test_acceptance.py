@@ -18,10 +18,12 @@ from pathlib import Path
 import pytest
 
 from pacsdiv import (
+    CITATION_KEY_SCHEME,
     IngestConfig,
     YearRange,
     assign_group,
     citations_by_age,
+    citations_by_diversity,
     corpus_summary,
     diversity_share_table,
     group_fraction_table,
@@ -162,6 +164,16 @@ def _window_group_counts(corpus, window, scheme):
     return counts
 
 
+def _distribution_identities(entry):
+    """The two identities of a citation-count distribution; returns how many held."""
+    distribution = entry.citation_distribution
+    assert abs(sum(distribution) - 1.0) <= 1e-9
+    # papers times the mean count gives back every citation counted per age
+    mean = sum(c * fraction for c, fraction in enumerate(distribution))
+    assert round(entry.paper_count * mean) == sum(entry.citations_per_age)
+    return 2
+
+
 def test_criterion_conservation(fixture_corpus, tmp_path):
     synth = load_corpus(_pinned_synth(tmp_path / "synth2k.jsonl", 2000, 6))
     cases = [
@@ -195,12 +207,16 @@ def test_criterion_conservation(fixture_corpus, tmp_path):
         for column in diversity_share_table(corpus, cohorts, include_zero_pacs=False).values():
             assert abs(sum(column.values()) - 100.0) <= 0.1
             checks += 1
+        for cohort in cohorts:
+            per_key = citations_by_diversity(corpus, cohort, 10, CITATION_KEY_SCHEME, include_zero_pacs=False)
+            for entry in per_key.values():
+                checks += _distribution_identities(entry)
         span = corpus.year_span()
         entry = citations_by_age(corpus, span, horizon=span.end - span.start + 1)
         total = sum(entry.citations_per_age)
         pairs = sum(len(v) for v in corpus.citations_in.values())
         assert total == pairs - corpus.ingest_stats.negative_age_citations_skipped
-        checks += 1
+        checks += 1 + _distribution_identities(entry)
     _report("conservation", f"{checks} exact identities over fixture + 2000-record corpus")
 
 

@@ -17,7 +17,6 @@ from pacsdiv import (
     YearRange,
     assign_group,
     band_scheme_from_spec,
-    citation_distribution_by_diversity,
     citations_by_age,
     citations_by_diversity,
     corpus_summary,
@@ -135,6 +134,19 @@ def test_group_fractions_cumulative_mode(fixture_corpus):
     assert table["1995-2000"] == {"G1": 0.2, "G2": 0.4, "G3": 0.4, "G4": 0.0}
 
 
+def test_group_fractions_cumulative_windows_in_any_order(fixture_corpus):
+    # the running masks walk the windows by ascending end; the rows come
+    # in the caller's order
+    table = group_fraction_table(
+        fixture_corpus, [W3, W1, W2], GROUPS, cumulative=True, include_zero_pacs=False
+    )
+    in_order = group_fraction_table(
+        fixture_corpus, [W1, W2, W3], GROUPS, cumulative=True, include_zero_pacs=False
+    )
+    assert list(table) == ["2000-2005", "1990-1995", "1995-2000"]
+    assert table == in_order
+
+
 def test_group_fractions_include_zero_pacs(fixture_corpus):
     table = group_fraction_table(
         fixture_corpus, [W2], GROUPS, cumulative=False, include_zero_pacs=True
@@ -191,7 +203,6 @@ def test_flow_conservation(fixture_corpus):
         transition_flows,
         citations_by_diversity,
         diversity_share_table,
-        citation_distribution_by_diversity,
         pacs_count_distributions,
         diversity_distributions,
         Corpus.author_unions,
@@ -288,6 +299,7 @@ def test_citations_by_age_two_citation_example(corpus_file):
     assert entry.citations_per_age == (0, 1, 0, 1)
     assert entry.mean_per_age == (0.0, 1.0, 0.0, 1.0)
     assert entry.cumulative_mean == (0.0, 1.0, 1.0, 2.0)
+    assert entry.citation_distribution == (0.0, 0.0, 1.0)
 
 
 def test_citations_by_age_fixture(fixture_corpus):
@@ -393,25 +405,24 @@ def test_share_table_rejects_empty_cohort(fixture_corpus):
         )
 
 
-@pytest.mark.parametrize("table", [citations_by_diversity, citation_distribution_by_diversity])
+@pytest.mark.parametrize("table", [citations_by_diversity])
 def test_citation_tables_reject_empty_cohort(table, fixture_corpus):
-    keying = (CITATION_KEY_SCHEME,) if table is citations_by_diversity else ()
     with pytest.raises(EmptyCohort, match="no diversity-keyed papers in 1950-1960"):
-        table(fixture_corpus, YearRange(1950, 1960), 5, *keying, include_zero_pacs=False)
+        table(fixture_corpus, YearRange(1950, 1960), 5, CITATION_KEY_SCHEME, include_zero_pacs=False)
 
 
 def test_citation_distribution_fixture(fixture_corpus):
-    dists = citation_distribution_by_diversity(
-        fixture_corpus, COHORT1, horizon=5, include_zero_pacs=False
+    series = citations_by_diversity(
+        fixture_corpus, COHORT1, 5, CITATION_KEY_SCHEME, include_zero_pacs=False
     )
-    assert dists["0"] == {0: 0.0, 1: 0.0, 2: 0.0, 3: 1.0}
-    assert dists["1"] == {0: 0.0, 1: 0.5, 2: 0.5}
-    dists2 = citation_distribution_by_diversity(
-        fixture_corpus, COHORT2, horizon=5, include_zero_pacs=False
+    assert series["0"].citation_distribution == (0.0, 0.0, 0.0, 1.0)
+    assert series["1"].citation_distribution == (0.0, 0.5, 0.5)
+    series2 = citations_by_diversity(
+        fixture_corpus, COHORT2, 5, CITATION_KEY_SCHEME, include_zero_pacs=False
     )
-    assert dists2["0"] == {0: 1.0}
-    for hist in list(dists.values()) + list(dists2.values()):
-        assert sum(hist.values()) == pytest.approx(1.0)
+    assert series2["0"].citation_distribution == (1.0,)
+    for entry in list(series.values()) + list(series2.values()):
+        assert sum(entry.citation_distribution) == pytest.approx(1.0)
 
 
 def test_unbounded_horizon_totals_match_pair_count(fixture_corpus):

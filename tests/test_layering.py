@@ -89,8 +89,12 @@ def test_kernel_module_exports_only_the_kernel():
 
 
 # routes with one reader each, folded into it: a cohort's diversities,
-# the distributions' histogram and the integer keyings' builder
-@pytest.mark.parametrize("name", ["compute_diversities", "diversity_histogram", "integer_key_scheme"])
+# the distributions' histogram, the integer keyings' builder and the
+# citation-count distribution, which each ``SeriesEntry`` carries
+@pytest.mark.parametrize(
+    "name",
+    ["compute_diversities", "diversity_histogram", "integer_key_scheme", "citation_distribution_by_diversity"],
+)
 def test_package_exports_no_single_reader_route(name):
     assert not hasattr(pacsdiv, name)
     assert name not in pacsdiv.__all__
@@ -275,7 +279,7 @@ def test_ci_runs_the_tier1_command_on_every_python_claimed():
     tier1 = re.search(r"^\*\*Tier-1 verify:\*\* `(.+)`$", roadmap, re.MULTILINE).group(1)
     (job,) = workflow["jobs"].values()
     assert job["strategy"]["matrix"]["python-version"] == [f"3.{minor}" for minor in range(PYTHON_FLOOR[1], 14)]
-    assert [step["run"] for step in job["steps"] if "run" in step] == ["pip install pytest hypothesis", tier1]
+    assert [step["run"] for step in job["steps"] if "run" in step] == ["pip install pytest hypothesis pyyaml", tier1]
 
 
 def _is_dataclass(node):
